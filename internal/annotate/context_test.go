@@ -3,9 +3,15 @@ package annotate
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"shine/internal/corpus"
+	"shine/internal/hin"
+	"shine/internal/shine"
 )
 
 // TestAnnotateContextPreCanceled: a canceled request aborts before
@@ -51,5 +57,132 @@ func TestAnnotateContextBackgroundMatchesAnnotate(t *testing.T) {
 		if plain[i] != ctxed[i] {
 			t.Errorf("annotation %d: %+v vs %+v", i, plain[i], ctxed[i])
 		}
+	}
+}
+
+// countdownCtx is a cancelable context whose Err() cancels it on the
+// call after the first n: a deterministic cancellation point. The
+// annotator polls the request context once before linking and once as
+// each linked mention leaves the stream, so n = 1+K cancels it after K
+// links.
+type countdownCtx struct {
+	context.Context
+	cancel    context.CancelFunc
+	remaining atomic.Int64
+}
+
+func newCountdownCtx(n int64) *countdownCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &countdownCtx{Context: ctx, cancel: cancel}
+	c.remaining.Store(n)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.remaining.Add(-1) < 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// goroutinesSettle waits for the running goroutine count to fall back
+// to base, reporting whether it did.
+func goroutinesSettle(base int) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= base {
+			return true
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return false
+}
+
+// repeatedPage is a text with n detected mentions: Muntz first, then
+// the Wangs.
+func repeatedPage(n int) string {
+	var b strings.Builder
+	b.WriteString("Richard R. Muntz works on data at SIGMOD.")
+	for i := 1; i < n; i++ {
+		b.WriteString(" Wei Wang presented data at SIGMOD.")
+	}
+	return b.String()
+}
+
+// TestAnnotateContextCancelAfterK: a request canceled after K of a
+// page's mentions are linked returns context.Canceled and no
+// annotations, and leaves no pipeline goroutine behind.
+func TestAnnotateContextCancelAfterK(t *testing.T) {
+	d, _, _, m := annotateFixture(t)
+	a, err := New(m, corpus.DBLPIngestConfig(d), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := repeatedPage(40)
+	for _, k := range []int64{0, 1, 5, 39} {
+		base := runtime.NumGoroutine()
+		ctx := newCountdownCtx(1 + k)
+		anns, err := a.AnnotateContext(ctx, "page", text)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("K=%d: err = %v, want context.Canceled", k, err)
+		}
+		if anns != nil {
+			t.Errorf("K=%d: canceled annotate returned %d annotations, want none", k, len(anns))
+		}
+		if !goroutinesSettle(base) {
+			t.Errorf("K=%d: goroutines leaked: %d running, started from %d", k, runtime.NumGoroutine(), base)
+		}
+	}
+	// One poll more than the page has mentions: the countdown never
+	// fires and the page annotates in full.
+	anns, err := a.AnnotateContext(newCountdownCtx(1+40+1), "page", text)
+	if err != nil || len(anns) != 40 {
+		t.Fatalf("uncanceled countdown: %d annotations, err %v; want 40, nil", len(anns), err)
+	}
+}
+
+// failingSource fails candidate lookup for one surface form, the way
+// a mention with no entity would fail, and counts every lookup.
+type failingSource struct {
+	shine.CandidateSource
+	fail    string
+	lookups atomic.Int64
+}
+
+func (s *failingSource) Candidates(mention string) []hin.ObjectID {
+	s.lookups.Add(1)
+	if mention == s.fail {
+		return nil
+	}
+	return s.CandidateSource.Candidates(mention)
+}
+
+// TestAnnotateContextLinkErrorStopsStream: the first mention that
+// fails to link surfaces its error, wrapped with the surface, and
+// cancels the stream before the rest of the page is linked.
+func TestAnnotateContextLinkErrorStopsStream(t *testing.T) {
+	d, _, _, m := annotateFixture(t)
+	src := &failingSource{CandidateSource: m.CandidateSource(), fail: "Richard R. Muntz"}
+	m.SetCandidateSource(src)
+	a, err := New(m, corpus.DBLPIngestConfig(d), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mentions = 2000
+	base := runtime.NumGoroutine()
+	anns, err := a.AnnotateContext(context.Background(), "page", repeatedPage(mentions))
+	if !errors.Is(err, shine.ErrNoCandidates) || !strings.Contains(err.Error(), `"Richard R. Muntz"`) {
+		t.Fatalf("err = %v, want ErrNoCandidates naming the mention", err)
+	}
+	if anns != nil {
+		t.Errorf("failed annotate returned %d annotations, want none", len(anns))
+	}
+	// The stream's window is 2×workers documents; it must not have
+	// run on through the page.
+	if n := src.lookups.Load(); n >= mentions {
+		t.Errorf("%d of %d mentions looked up after the first failed", n, mentions)
+	}
+	if !goroutinesSettle(base) {
+		t.Errorf("goroutines leaked: %d running, started from %d", runtime.NumGoroutine(), base)
 	}
 }

@@ -6,7 +6,6 @@
 package corpus
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -58,19 +57,25 @@ func (d *Document) Bag() sparse.Vector {
 }
 
 // NewDocument builds a Document from an unsorted, possibly duplicated
-// object list, normalising it to the sorted deduplicated form.
+// object list, normalising it to the sorted deduplicated form. The
+// caller's slice is not modified.
 func NewDocument(id, mention string, gold hin.ObjectID, objects []hin.ObjectID) *Document {
-	counts := make(map[hin.ObjectID]int)
-	for _, o := range objects {
-		counts[o]++
+	return &Document{ID: id, Mention: mention, Gold: gold, Objects: countObjects(slices.Clone(objects))}
+}
+
+// countObjects sorts objects in place and run-length encodes it into
+// the sorted, deduplicated bag form. The bag is never nil, so an empty
+// document has an empty (not nil) Objects slice.
+func countObjects(objects []hin.ObjectID) []ObjectCount {
+	slices.Sort(objects)
+	bag := make([]ObjectCount, 0, len(objects))
+	for i, o := range objects {
+		if i == 0 || o != objects[i-1] {
+			bag = append(bag, ObjectCount{Object: o})
+		}
+		bag[len(bag)-1].Count++
 	}
-	d := &Document{ID: id, Mention: mention, Gold: gold}
-	d.Objects = make([]ObjectCount, 0, len(counts))
-	for o, c := range counts {
-		d.Objects = append(d.Objects, ObjectCount{Object: o, Count: c})
-	}
-	slices.SortFunc(d.Objects, func(a, b ObjectCount) int { return cmp.Compare(a.Object, b.Object) })
-	return d
+	return bag
 }
 
 // Corpus is an ordered document collection D.

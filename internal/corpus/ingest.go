@@ -1,7 +1,9 @@
 package corpus
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"shine/internal/hin"
@@ -68,30 +70,21 @@ func NewIngester(g *hin.Graph, cfg IngestConfig) (*Ingester, error) {
 			return nil, fmt.Errorf("corpus: dictionary type %d has no objects", t)
 		}
 		for _, o := range objs {
-			dict.Add(canonicalSurface(g.Name(o)), o)
+			dict.Add(CanonicalSurface(g.Name(o)), o)
 		}
 	}
 	return &Ingester{g: g, cfg: cfg, dict: dict}, nil
 }
 
-// canonicalSurface strips a DBLP-style numeric disambiguation suffix
-// ("Wei Wang 0010" -> "Wei Wang") so that documents, which use the
-// plain surface form, still match the entity's dictionary entry.
-func canonicalSurface(name string) string {
+// CanonicalSurface strips a DBLP-style numeric disambiguation suffix
+// ("Wei Wang 0010" -> "Wei Wang") and collapses whitespace, giving
+// the plain surface form documents use for the entity.
+func CanonicalSurface(name string) string {
 	fields := strings.Fields(name)
 	if n := len(fields); n > 1 && isAllDigits(fields[n-1]) {
 		fields = fields[:n-1]
 	}
 	return strings.Join(fields, " ")
-}
-
-// joinTokens renders a token sequence as space-joined text.
-func joinTokens(toks []textproc.Token) string {
-	parts := make([]string, len(toks))
-	for i, t := range toks {
-		parts[i] = t.Text
-	}
-	return strings.Join(parts, " ")
 }
 
 func isAllDigits(s string) bool {
@@ -106,32 +99,61 @@ func isAllDigits(s string) bool {
 	return true
 }
 
-// Ingest converts text into a Document. The mention surface form
-// itself is removed from the object bag, per the paper ("removed the
-// author name mention itself"). Tokens and dictionary matches that
-// resolve to no network object are dropped.
-func (in *Ingester) Ingest(id, mention string, gold hin.ObjectID, text string) *Document {
-	tokens := textproc.Tokenize(text)
-	matches := in.dict.FindAll(tokens)
-	// Normalise the mention the same way match surfaces are rendered
-	// (tokenised and space-joined), so punctuation variants like
-	// "Richard R. Muntz" still match their in-text occurrences.
-	mentionLower := strings.ToLower(joinTokens(textproc.Tokenize(mention)))
+// lowerSurface renders a token span as its lowercase space-joined
+// surface, the key a mention and a dictionary match are compared by.
+// Normalising both sides the same way lets punctuation variants like
+// "Richard R. Muntz" match their in-text occurrences.
+func lowerSurface(toks []textproc.Token) string {
+	if len(toks) == 1 {
+		return toks[0].Lower
+	}
+	var b strings.Builder
+	for i, t := range toks {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(t.Lower)
+	}
+	return b.String()
+}
 
-	var objects []hin.ObjectID
+// Prepared is one text resolved against the network: the object bag
+// of the whole text plus the dictionary matches a mention can be cut
+// from. It is immutable and safe for concurrent use, so the mentions
+// of one page can share it.
+type Prepared struct {
+	// bag holds every object of the text — dictionary matches, years
+	// and terms — sorted by object with no duplicates.
+	bag []ObjectCount
+	// matches are the dictionary matches in text order.
+	matches []surfaceMatch
+}
+
+// surfaceMatch is one dictionary match: its lowercase surface and the
+// object it resolved to.
+type surfaceMatch struct {
+	surface string
+	object  hin.ObjectID
+}
+
+// Prepare tokenises text, matches it against the dictionary and
+// resolves years and stemmed terms, once. Tokens covered by a
+// dictionary match are never also read as years or terms, whichever
+// mention a document is later cut for. Tokens and matches that
+// resolve to no network object are dropped.
+func (in *Ingester) Prepare(text string) *Prepared {
+	tokens := textproc.Tokenize(text)
+	found := in.dict.FindAll(tokens)
+	p := &Prepared{matches: make([]surfaceMatch, len(found))}
+	objects := make([]hin.ObjectID, 0, len(tokens))
 	matched := make([]bool, len(tokens))
-	for _, m := range matches {
-		if strings.ToLower(m.Surface(tokens)) == mentionLower {
-			// The mention itself: mark consumed but emit nothing.
-			for i := m.TokenStart; i < m.TokenEnd; i++ {
-				matched[i] = true
-			}
-			continue
+	for i, m := range found {
+		for j := m.TokenStart; j < m.TokenEnd; j++ {
+			matched[j] = true
 		}
-		for i := m.TokenStart; i < m.TokenEnd; i++ {
-			matched[i] = true
-		}
-		objects = append(objects, m.Value.(hin.ObjectID))
+		o := m.Value.(hin.ObjectID)
+		p.matches[i] = surfaceMatch{surface: lowerSurface(tokens[m.TokenStart:m.TokenEnd]), object: o}
+		objects = append(objects, o)
 	}
 
 	for i, tok := range tokens {
@@ -158,5 +180,35 @@ func (in *Ingester) Ingest(id, mention string, gold hin.ObjectID, text string) *
 			objects = append(objects, o)
 		}
 	}
-	return NewDocument(id, mention, gold, objects)
+	p.bag = countObjects(objects)
+	return p
+}
+
+// Document cuts the document of one mention from the prepared text.
+// The mention itself is removed from the object bag, per the paper
+// ("removed the author name mention itself"): every dictionary match
+// whose surface equals the mention's, compared case-insensitively
+// over tokens, takes its object's count down by one. The cost is
+// O(|bag| + matches): the text is not read again.
+func (p *Prepared) Document(id, mention string, gold hin.ObjectID) *Document {
+	key := lowerSurface(textproc.Tokenize(mention))
+	objects := make([]ObjectCount, len(p.bag))
+	copy(objects, p.bag)
+	for _, m := range p.matches {
+		if m.surface == key {
+			i, _ := slices.BinarySearchFunc(objects, m.object, func(oc ObjectCount, o hin.ObjectID) int {
+				return cmp.Compare(oc.Object, o)
+			})
+			objects[i].Count--
+		}
+	}
+	objects = slices.DeleteFunc(objects, func(oc ObjectCount) bool { return oc.Count == 0 })
+	return &Document{ID: id, Mention: mention, Gold: gold, Objects: objects}
+}
+
+// Ingest converts text into the Document of one mention: Prepare
+// followed by Document. Callers with several mentions in one text
+// should Prepare once and cut each mention's Document from it.
+func (in *Ingester) Ingest(id, mention string, gold hin.ObjectID, text string) *Document {
+	return in.Prepare(text).Document(id, mention, gold)
 }

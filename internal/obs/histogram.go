@@ -16,6 +16,25 @@ var DefLatencyBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// ExpBuckets returns n bucket bounds growing geometrically from start
+// by factor: start, start·factor, …, start·factor^(n-1). Latencies far
+// below DefLatencyBuckets' first bound (a warm link costs tens of
+// microseconds) need a range of their own, or every observation lands
+// in the first bucket and the quantile estimates say nothing. It
+// panics unless start > 0, factor > 1 and n ≥ 1 — bucket layouts are
+// fixed at wiring time, so a bad one is a programming error.
+func ExpBuckets(start, factor float64, n int) []float64 {
+	if !(start > 0) || !(factor > 1) || n < 1 || math.IsInf(start, 0) || math.IsInf(factor, 0) {
+		panic(fmt.Sprintf("obs: ExpBuckets(%v, %v, %d): need start > 0, factor > 1, n >= 1", start, factor, n))
+	}
+	bounds := make([]float64, n)
+	bounds[0] = start
+	for i := 1; i < n; i++ {
+		bounds[i] = bounds[i-1] * factor
+	}
+	return bounds
+}
+
 // Histogram is a fixed-bucket histogram with atomic counters: Observe
 // is lock-free and safe for concurrent use. Bounds are bucket upper
 // limits (inclusive, per Prometheus `le` semantics) in ascending

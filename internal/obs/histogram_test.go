@@ -92,3 +92,37 @@ func TestHandler(t *testing.T) {
 		t.Errorf("POST /metrics = %d, want 405", w.Code)
 	}
 }
+
+func TestExpBuckets(t *testing.T) {
+	got := ExpBuckets(1e-6, 2, 4)
+	want := []float64{1e-6, 2e-6, 4e-6, 8e-6}
+	if len(got) != len(want) {
+		t.Fatalf("ExpBuckets = %v, want %v", got, want)
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-18 {
+			t.Errorf("bound %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	// The bounds are a valid histogram layout.
+	h := newHistogram(got)
+	h.Observe(3e-6)
+	if c, _, _ := h.snapshot(); c[2] != 1 {
+		t.Errorf("3µs landed in buckets %v, want the (2µs, 4µs] bucket", c)
+	}
+	for _, bad := range []struct {
+		start, factor float64
+		n             int
+	}{
+		{0, 2, 4}, {-1, 2, 4}, {1, 1, 4}, {1, 0.5, 4}, {1, 2, 0}, {math.NaN(), 2, 4}, {1, math.NaN(), 4}, {math.Inf(1), 2, 4},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ExpBuckets(%v, %v, %d) did not panic", bad.start, bad.factor, bad.n)
+				}
+			}()
+			ExpBuckets(bad.start, bad.factor, bad.n)
+		}()
+	}
+}

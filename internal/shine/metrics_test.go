@@ -1,6 +1,7 @@
 package shine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,5 +137,39 @@ func TestUninstrumentedModelLinks(t *testing.T) {
 	m.SetMetrics(nil)
 	if _, err := m.Link(f.docA); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLatencyBucketsResolveMeasuredCosts: the latency histograms'
+// ranges bracket the per-layer medians the repository benchmark
+// records (bench/README.md, per-layer baseline, seed 1, both traced
+// runs of both workloads), so their p50 estimates land within a
+// factor of two of the cost rather than clamping to a bound far from
+// it — the failure mode of the 0.5 ms–10 s default buckets.
+func TestLatencyBucketsResolveMeasuredCosts(t *testing.T) {
+	f := newFixture(t)
+	m := newModel(t, f, nil)
+	reg := obs.NewRegistry()
+	m.SetMetrics(reg)
+	for _, tc := range []struct {
+		metric, layer string
+		medianUS      []float64
+	}{
+		{MetricLinkSeconds, "shine.link_us", []float64{26.21, 30.93, 40.45, 45.26}},
+		{MetricCandidatesSeconds, "surftrie.lookup_us", []float64{1.226, 1.231, 1.447, 1.481}},
+		{MetricStreamSeconds, "shine.stream_doc_us", []float64{20.44, 21.1, 27.42, 30.99}},
+	} {
+		for _, us := range tc.medianUS {
+			v := us * 1e-6
+			// One labelled series per value, sharing the family's
+			// buckets: the estimate must resolve this one cost alone.
+			h := reg.Histogram(tc.metric, nil, "median_us", fmt.Sprint(us))
+			for i := 0; i < 100; i++ {
+				h.Observe(v)
+			}
+			if p50 := h.Quantile(0.5); p50 < v/2 || p50 > 2*v {
+				t.Errorf("%s: %s median %v µs estimated as %v µs, want within 2×", tc.metric, tc.layer, us, p50*1e6)
+			}
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"shine/internal/corpus"
 	"shine/internal/hin"
 )
 
@@ -128,7 +129,7 @@ func authorNeighbourhood(data *DBLPData, e hin.ObjectID) neighbourhood {
 			if co == e {
 				continue
 			}
-			nb.coauthors = append(nb.coauthors, stripSuffix(g.Name(co)))
+			nb.coauthors = append(nb.coauthors, corpus.CanonicalSurface(g.Name(co)))
 			if seenCo[co] {
 				continue
 			}
@@ -158,25 +159,6 @@ func authorNeighbourhood(data *DBLPData, e hin.ObjectID) neighbourhood {
 		}
 	}
 	return nb
-}
-
-// stripSuffix removes a DBLP disambiguation suffix for rendering.
-func stripSuffix(name string) string {
-	fields := strings.Fields(name)
-	if n := len(fields); n > 1 {
-		last := fields[n-1]
-		allDigits := true
-		for _, c := range last {
-			if c < '0' || c > '9' {
-				allDigits = false
-				break
-			}
-		}
-		if allDigits {
-			fields = fields[:n-1]
-		}
-	}
-	return strings.Join(fields, " ")
 }
 
 // GenerateDocs renders cfg.NumDocs documents over the generated

@@ -218,7 +218,7 @@ func generateIMDBDocs(rng *rand.Rand, data *IMDBData, cfg IMDBConfig) error {
 		for _, mv := range g.Neighbors(m.Perform, gold) {
 			for _, co := range g.Neighbors(m.PerformedBy, mv) {
 				if co != gold {
-					costars = append(costars, stripSuffix(g.Name(co)))
+					costars = append(costars, corpus.CanonicalSurface(g.Name(co)))
 				}
 			}
 			for _, dd := range g.Neighbors(m.DirectedBy, mv) {
