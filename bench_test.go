@@ -1092,6 +1092,32 @@ func BenchmarkWalkKernel(b *testing.B) {
 	})
 }
 
+// BenchmarkPrecomputeMixtures measures the mixture precompute a
+// snapshot build runs: every author of the quick network mixes its
+// ten meta-path walks. Each iteration starts from a fresh model, whose
+// mixture index and walker cache are empty, so every walk runs the hop
+// kernel; building the model is not timed.
+func BenchmarkPrecomputeMixtures(b *testing.B) {
+	e := benchEnv(b)
+	authors := len(e.DS.Data.Graph.ObjectsOfType(e.DS.Data.Schema.Author))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := shine.New(e.DS.Data.Graph, e.DS.Data.Schema.Author, e.Paths10,
+			e.DS.Corpus, shine.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := m.PrecomputeMixtures(); err != nil {
+			b.Fatal(err)
+		}
+		if got := m.MixtureStats().Entries; got != authors {
+			b.Fatalf("precomputed %d mixtures for %d authors", got, authors)
+		}
+	}
+}
+
 // BenchmarkWalkScale measures a length-4 constrained walk as the
 // author's neighbourhood grows with the network.
 func BenchmarkWalkScale(b *testing.B) {

@@ -1,10 +1,13 @@
 package metapath
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"shine/internal/hin"
 	"shine/internal/sparse"
+	"shine/internal/synth"
 )
 
 // TestWalkMatchesReferenceBitForBit: the CSR scatter-gather kernel
@@ -12,12 +15,17 @@ import (
 // same values to the last bit — across random graphs, paths and
 // pruning levels. This is the determinism contract the frozen serving
 // path rests on.
+//
+// The random graphs fit in one bitset word, so their accumulators
+// always order frontiers by the word scan. The quick benchmark
+// network spans ~40 words and its walks end anywhere from one venue
+// to hundreds of authors, so its frontiers also take the sort branch;
+// the test checks that both sizes occurred.
 func TestWalkMatchesReferenceBitForBit(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		d, g, authors := randomDBLP(seed)
+	check := func(name string, g *hin.Graph, paths []Path, authors []hin.ObjectID, rng *rand.Rand) []int {
 		w := NewWalker(g, 0) // cache off: every Walk runs the kernel
-		rng := rand.New(rand.NewSource(seed))
-		for _, p := range DBLPPaperPaths(d) {
+		var sizes []int
+		for _, p := range paths {
 			for _, a := range authors {
 				maxSupport := 0
 				if rng.Intn(2) == 0 {
@@ -25,25 +33,73 @@ func TestWalkMatchesReferenceBitForBit(t *testing.T) {
 				}
 				got, err := w.WalkPruned(a, p, maxSupport)
 				if err != nil {
-					t.Fatalf("seed %d: WalkPruned: %v", seed, err)
+					t.Fatalf("%s: WalkPruned: %v", name, err)
 				}
 				want, err := ReferenceWalk(g, a, p, maxSupport)
 				if err != nil {
-					t.Fatalf("seed %d: ReferenceWalk: %v", seed, err)
+					t.Fatalf("%s: ReferenceWalk: %v", name, err)
 				}
 				if got.Len() != len(want) {
-					t.Fatalf("seed %d path %s e=%d k=%d: support %d vs reference %d",
-						seed, p, a, maxSupport, got.Len(), len(want))
+					t.Fatalf("%s path %s e=%d k=%d: support %d vs reference %d",
+						name, p, a, maxSupport, got.Len(), len(want))
 				}
 				got.ForEach(func(i int32, x float64) {
 					if wx := want[i]; x != wx {
-						t.Fatalf("seed %d path %s e=%d k=%d: [%d] = %v, reference %v (bit-for-bit)",
-							seed, p, a, maxSupport, i, x, wx)
+						t.Fatalf("%s path %s e=%d k=%d: [%d] = %v, reference %v (bit-for-bit)",
+							name, p, a, maxSupport, i, x, wx)
 					}
 				})
+				if maxSupport == 0 {
+					sizes = append(sizes, got.Len())
+				}
 			}
 		}
+		return sizes
 	}
+	for seed := int64(0); seed < 30; seed++ {
+		d, g, authors := randomDBLP(seed)
+		check(fmt.Sprintf("seed %d", seed), g, DBLPPaperPaths(d), authors, rand.New(rand.NewSource(seed)))
+	}
+
+	d, g, authors := quickNetwork(t)
+	sample := make([]hin.ObjectID, 0, len(authors)/10+1)
+	for i := 0; i < len(authors); i += 10 {
+		sample = append(sample, authors[i])
+	}
+	sizes := check("quick", g, DBLPPaperPaths(d), sample, rand.New(rand.NewSource(30)))
+	// Whatever the crossover ratio, up to one index per 8 words, a
+	// frontier below words/8 indices is sorted and one of at least
+	// words indices is scanned.
+	words := (g.NumObjects() + 63) / 64
+	small, large := 0, 0
+	for _, n := range sizes {
+		if n > 0 && n < words/8 {
+			small++
+		}
+		if n >= words {
+			large++
+		}
+	}
+	if small == 0 || large == 0 {
+		t.Fatalf("quick network over %d words: %d walks ended below words/8, %d at words or more; want both",
+			words, small, large)
+	}
+}
+
+// quickNetwork generates the network of the quick benchmark dataset
+// (the knobs of experiments.QuickEnv).
+func quickNetwork(t testing.TB) (*hin.DBLPSchema, *hin.Graph, []hin.ObjectID) {
+	t.Helper()
+	cfg := synth.DefaultDBLPConfig()
+	cfg.RegularAuthors = 400
+	cfg.AmbiguousGroups = 8
+	cfg.Topics = 4
+	cfg.MaxPapersPerAuthor = 30
+	data, err := synth.GenerateDBLP(cfg)
+	if err != nil {
+		t.Fatalf("GenerateDBLP: %v", err)
+	}
+	return data.Schema, data.Graph, data.Graph.ObjectsOfType(data.Schema.Author)
 }
 
 // TestWalkMixtureDistMatchesVectorMixture: the pooled frozen mixture

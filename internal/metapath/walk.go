@@ -31,14 +31,16 @@ import (
 // is an exact LRU over its slice of the key space, so the total
 // capacity bound holds per shard rather than globally.
 //
-// Hop expansion runs on a pooled dense scatter-gather accumulator
+// Hop expansion runs on pooled dense scatter-gather accumulators
 // (sparse.Accum) rather than a map-backed frontier: scattering mass
 // into a dense array costs one array write per link instead of a hash
-// probe, and sorting the touched-index list afterwards restores the
-// ascending-order iteration the determinism guarantee needs. Results
-// are frozen into immutable sparse.Dist values (parallel sorted
-// arrays), which are smaller and GC-friendlier cache entries than
-// maps and support O(log n) lookups and O(n+m) merges downstream.
+// probe, and the accumulator lists its touched indices in ascending
+// order (a word scan of its bitset, or a sort of a small list), the
+// iteration order the determinism guarantee needs. Intermediate
+// frontiers stay in the accumulators; only results are frozen into
+// immutable sparse.Dist values (parallel sorted arrays), which are
+// smaller and GC-friendlier cache entries than maps and support
+// O(log n) lookups and O(n+m) merges downstream.
 type Walker struct {
 	g *hin.Graph
 	// accums pools dense accumulators sized to the graph's object
@@ -211,10 +213,12 @@ func (w *Walker) checkWalk(e hin.ObjectID, p Path, maxSupport int) error {
 	return nil
 }
 
-// computeWalk runs the scatter-gather hop kernel. Each hop expands
-// the current frontier — already in ascending index order, because
-// frozen Dists store indices sorted — into a pooled dense
-// accumulator, then freezes the touched entries back into a Dist.
+// computeWalk runs the scatter-gather hop kernel on two pooled
+// accumulators used in turn: each hop reads the current frontier
+// straight from one accumulator's ordered touched list and dense
+// values and scatters it into the other, and only the last hop is
+// frozen into a Dist. Support pruning cuts the new frontier in place
+// (Accum.Prune), so pruned and exact walks share this one kernel.
 // Cancellation is checked once per relation hop (before expanding
 // it), the granularity at which a walk's cost accrues; a canceled
 // walk returns ctx.Err() and its partial frontier is discarded.
@@ -227,41 +231,42 @@ func (w *Walker) checkWalk(e hin.ObjectID, p Path, maxSupport int) error {
 // reproducible across runs, worker counts, and both kernel
 // implementations (ReferenceWalk cross-checks this in tests).
 func (w *Walker) computeWalk(ctx context.Context, e hin.ObjectID, p Path, maxSupport int) (sparse.Dist, error) {
-	cur := sparse.UnitDist(int32(e))
-	rels := p.Relations()
-	if len(rels) == 0 {
+	if p.IsEmpty() {
 		w.walks.Add(1)
-		return cur, nil
+		return sparse.UnitDist(int32(e)), nil
 	}
-	acc := w.accums.Get()
-	defer w.accums.Put(acc)
-	for _, rel := range rels {
+	cur, next := w.accums.Get(), w.accums.Get()
+	defer w.accums.Put(cur)
+	defer w.accums.Put(next)
+	cur.Add(int32(e), 1)
+	for _, rel := range p.rels {
 		if err := ctx.Err(); err != nil {
 			w.canceled.Add(1)
 			return sparse.Dist{}, err
 		}
-		for k := 0; k < cur.Len(); k++ {
-			i, mass := cur.At(k)
-			v := hin.ObjectID(i)
-			deg := w.g.Degree(rel, v)
-			if deg == 0 {
+		idx, mass := cur.Ordered()
+		for _, i := range idx {
+			if mass[i] == 0 {
+				continue // cancelled to exactly zero: not in the frontier, as in Dist
+			}
+			nbrs := w.g.Neighbors(rel, hin.ObjectID(i))
+			if len(nbrs) == 0 {
 				continue // mass dies, per Formula 11
 			}
-			share := mass / float64(deg)
-			for _, dst := range w.g.Neighbors(rel, v) {
-				acc.Add(int32(dst), share)
+			share := mass[i] / float64(len(nbrs))
+			for _, dst := range nbrs {
+				next.Add(int32(dst), share)
 			}
 		}
-		if maxSupport > 0 && acc.Len() > maxSupport {
-			cur = acc.TopDist(maxSupport)
-		} else {
-			cur = acc.Dist()
+		cur.Reset()
+		if maxSupport > 0 {
+			next.Prune(maxSupport)
 		}
-		acc.Reset()
+		cur, next = next, cur
 		w.hops.Add(1)
 	}
 	w.walks.Add(1)
-	return cur, nil
+	return cur.Dist(), nil
 }
 
 // ReferenceWalk computes Pe(v|p) with the original map-backed kernel,

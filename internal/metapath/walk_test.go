@@ -190,6 +190,29 @@ func TestWalkMixture(t *testing.T) {
 	}
 }
 
+// TestUncachedWalkAllocs pins the allocations of an uncached length-4
+// walk: the cache key and the two arrays of the returned Dist.
+// Intermediate frontiers stay in the two pooled accumulators, so a
+// per-hop freeze coming back shows here as two more allocations per
+// hop.
+func TestUncachedWalkAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops accumulators at random under the race detector")
+	}
+	d, g, ids := paperExample(t)
+	w := NewWalker(g, 0)
+	p := MustParse(d.Schema, "A-P-A-P-V")
+	walk := func() {
+		if _, err := w.Walk(ids["wei"], p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk() // fill the accumulator pool
+	if avg := testing.AllocsPerRun(100, walk); avg > 4 {
+		t.Errorf("uncached length-4 walk allocates %.1f objects, want <= 4", avg)
+	}
+}
+
 func TestWalkerCacheHitsAndEviction(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 2)

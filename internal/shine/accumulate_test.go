@@ -212,6 +212,35 @@ func TestObjectiveAndGradientBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestMaximizeReturnsObjectiveAtEnds: the objective values maximize
+// returns are J at the weights it started from and at the weights it
+// left, bit for bit, whichever way the ascent stops: backtracking that
+// runs out of improving steps, backtracking whose loose tolerance
+// returns on the first accepted step, and fixed steps. Learn records
+// them as the EM trace instead of evaluating J again.
+func TestMaximizeReturnsObjectiveAtEnds(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	mds, post := randomMentionData(rng, 137, 3)
+	for _, c := range []struct{ rate, tol float64 }{{0, 1e-7}, {0, 1}, {1e-3, 1e-7}} {
+		cfg := DefaultConfig()
+		cfg.Workers = 4
+		cfg.LearningRate, cfg.GDTolerance = c.rate, c.tol
+		m := &Model{cfg: cfg}
+		w := make([]float64, 3) // EM's starting point
+		want := m.objective(mds, post, w)
+		iters, jStart, jEnd := m.maximize(mds, post, w, rand.New(rand.NewSource(1)))
+		if iters == 0 {
+			t.Fatalf("%+v: maximize took no step", c)
+		}
+		if math.Float64bits(jStart) != math.Float64bits(want) {
+			t.Errorf("%+v: start objective %v, J(w0) = %v", c, jStart, want)
+		}
+		if got := m.objective(mds, post, w); math.Float64bits(jEnd) != math.Float64bits(got) {
+			t.Errorf("%+v: end objective %v, J(w) = %v", c, jEnd, got)
+		}
+	}
+}
+
 // TestProjectKeepsSimplex: after projection the weight vector is
 // non-negative and sums to 1 (or is identically zero when nothing
 // positive remains) — for any input, hence under any worker count's

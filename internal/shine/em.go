@@ -97,10 +97,8 @@ func (m *Model) Learn(c *corpus.Corpus) (*LearnStats, error) {
 		// M-step: maximise J(w) = Σ f(m,d,e) ln P(d|e) by projected
 		// gradient ascent on the weight simplex (Formulas 22–24 plus
 		// the normalisation step of Algorithm 1 line 13).
-		jBefore := m.objective(mds, post, w)
-		gd := m.maximize(mds, post, w, rng)
+		gd, jBefore, jAfter := m.maximize(mds, post, w, rng)
 		stats.GDIterations += gd
-		jAfter := m.objective(mds, post, w)
 
 		stats.EMIterations = iter + 1
 		stats.Objective = append(stats.Objective, jAfter)
@@ -193,11 +191,13 @@ func (m *Model) gradient(mds []*mentionData, post [][]float64, w []float64, subs
 }
 
 // maximize runs the inner gradient ascent loop of Algorithm 1 (lines
-// 9–15), updating w in place, and returns the number of iterations
-// performed. Each accepted step is projected back onto the weight
-// simplex: negative weights clamp to zero ("we do not consider
+// 9–15), updating w in place. It returns the number of iterations
+// performed and the objective J at the initial and at the final w —
+// jCur always holds J of the current w, so neither needs another
+// full-corpus pass. Each accepted step is projected back onto the
+// weight simplex: negative weights clamp to zero ("we do not consider
 // negative w_p") and the vector is renormalised to Σw_p = 1.
-func (m *Model) maximize(mds []*mentionData, post [][]float64, w []float64, rng *rand.Rand) int {
+func (m *Model) maximize(mds []*mentionData, post [][]float64, w []float64, rng *rand.Rand) (iters int, jStart, jEnd float64) {
 	all := make([]int, len(mds))
 	for i := range all {
 		all[i] = i
@@ -205,9 +205,9 @@ func (m *Model) maximize(mds []*mentionData, post [][]float64, w []float64, rng 
 	grad := make([]float64, len(w))
 	trial := make([]float64, len(w))
 
-	jCur := m.objective(mds, post, w)
+	jStart = m.objective(mds, post, w)
+	jCur := jStart
 	step := m.cfg.LearningRate
-	iters := 0
 	for t := 0; t < m.cfg.MaxGDIterations; t++ {
 		subset := all
 		if m.cfg.SGDBatch > 0 && m.cfg.SGDBatch < len(mds) {
@@ -264,7 +264,7 @@ func (m *Model) maximize(mds []*mentionData, post [][]float64, w []float64, rng 
 				improved = true
 				iters++
 				if done {
-					return iters
+					return iters, jStart, jCur
 				}
 				break
 			}
@@ -274,7 +274,7 @@ func (m *Model) maximize(mds []*mentionData, post [][]float64, w []float64, rng 
 			break
 		}
 	}
-	return iters
+	return iters, jStart, jCur
 }
 
 // converged reports whether the relative objective change is below

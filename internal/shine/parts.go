@@ -33,7 +33,10 @@ type Parts struct {
 	// Graph.ObjectsOfType(EntityType) — the offline centrality result
 	// (Formula 6 under the default "pagerank" backend), restored
 	// instead of recomputed.
-	Popularity   []float64
+	Popularity []float64
+	// PRSeconds is the wall time of the centrality run. Snapshots do
+	// not persist it, because it would make two builds of the same
+	// input differ; a restored model ran no centrality and reports 0.
 	PRSeconds    float64
 	PRIterations int
 	// Centrality names the pagerank.Centrality backend that produced

@@ -58,7 +58,7 @@ const (
 // counts established by earlier ones (the CSR section trusts the
 // object count from the objects section, and so on).
 const (
-	secMeta       = 1 // JSON: schema, entity type, path notations, PageRank provenance
+	secMeta       = 1 // JSON: schema, entity type, path notations, centrality backend and sweeps
 	secConfig     = 2 // JSON: shine.Config (execution knobs excluded)
 	secObjects    = 3 // typeOf array + name symbol table
 	secCSR        = 4 // per directed relation: row offsets + column indices
@@ -122,11 +122,12 @@ func (i Info) String() string {
 
 // metaSection is the JSON payload of section 1: everything small and
 // structural. The schema is stored as forward relation pairs, exactly
-// the calls that rebuild it.
+// the calls that rebuild it. Artifacts written before the centrality
+// wall time was dropped also carry "prSeconds"; decoding skips the
+// unknown field, so they still read.
 type metaSection struct {
 	EntityType   string     `json:"entityType"`
 	Paths        []string   `json:"paths"`
-	PRSeconds    float64    `json:"prSeconds"`
 	PRIterations int        `json:"prIterations"`
 	Types        []typeMeta `json:"types"`
 	Relations    []relMeta  `json:"relations"`

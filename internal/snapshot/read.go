@@ -408,7 +408,6 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		Config:       cfg,
 		Weights:      weights,
 		Popularity:   popularity,
-		PRSeconds:    meta.PRSeconds,
 		PRIterations: meta.PRIterations,
 		Centrality:   meta.Centrality,
 		Generic:      gdist.Thaw(),

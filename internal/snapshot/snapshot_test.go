@@ -2,11 +2,13 @@ package snapshot_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"shine/internal/corpus"
@@ -140,6 +142,133 @@ func TestEncodeDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("two encodes of the same model differ — artifacts must be deterministic")
 	}
+}
+
+// TestBuildDeterministic: two independent builds of the same input —
+// New, Learn, PrecomputeMixtures, Encode — write byte-identical
+// artifacts. TestEncodeDeterministic encodes one model twice, so it
+// cannot see state that differs between builds, such as a wall time.
+func TestBuildDeterministic(t *testing.T) {
+	f := newFixture(t)
+	parts := f.model.Parts()
+	build := func() []byte {
+		cfg := shine.DefaultConfig()
+		cfg.WalkCacheSize = 64
+		m, err := shine.New(f.graph, parts.EntityType, parts.Paths, f.docs, cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if _, err := m.Learn(f.docs); err != nil {
+			t.Fatalf("Learn: %v", err)
+		}
+		if err := m.PrecomputeMixtures(); err != nil {
+			t.Fatalf("PrecomputeMixtures: %v", err)
+		}
+		data, err := snapshot.Encode(m.Parts())
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		return data
+	}
+	a, b := build(), build()
+	if !bytes.Equal(a, b) {
+		t.Errorf("two builds of one input differ: %d bytes (crc %08x) vs %d bytes (crc %08x)",
+			len(a), crc32.ChecksumIEEE(a), len(b), crc32.ChecksumIEEE(b))
+	}
+}
+
+// TestReadLegacyPRSeconds: artifacts written before the centrality
+// wall time was dropped carry "prSeconds" in their meta section. They
+// still read and serve the same links, and the restored model reports
+// no centrality time, because loading ran none.
+func TestReadLegacyPRSeconds(t *testing.T) {
+	f := newFixture(t)
+	data := encodeFixture(t, f)
+	var meta map[string]json.RawMessage
+	if err := json.Unmarshal(sectionPayload(t, data, 1), &meta); err != nil {
+		t.Fatalf("decoding meta: %v", err)
+	}
+	if _, ok := meta["prSeconds"]; ok {
+		t.Fatal("meta section still records the centrality wall time")
+	}
+	meta["prSeconds"] = json.RawMessage("1.25")
+	legacyMeta, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := snapshot.ReadBytes(replaceSection(t, data, 1, legacyMeta))
+	if err != nil {
+		t.Fatalf("ReadBytes(legacy): %v", err)
+	}
+	if got := s.Parts().PRSeconds; got != 0 {
+		t.Errorf("restored PRSeconds = %v, want 0", got)
+	}
+	m, err := s.Model()
+	if err != nil {
+		t.Fatalf("Model: %v", err)
+	}
+	for _, doc := range f.docs.Docs {
+		r1, err1 := f.model.Link(doc)
+		r2, err2 := m.Link(doc)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("doc %s: Link errors %v, %v", doc.ID, err1, err2)
+		}
+		if r1.Entity != r2.Entity || len(r1.Candidates) != len(r2.Candidates) {
+			t.Fatalf("doc %s: entity %d of %d candidates vs %d of %d after legacy restore",
+				doc.ID, r1.Entity, len(r1.Candidates), r2.Entity, len(r2.Candidates))
+		}
+		for i, c := range r1.Candidates {
+			if math.Float64bits(c.Posterior) != math.Float64bits(r2.Candidates[i].Posterior) {
+				t.Errorf("doc %s cand %d: posterior %v vs %v after legacy restore",
+					doc.ID, i, c.Posterior, r2.Candidates[i].Posterior)
+			}
+		}
+	}
+}
+
+// sectionPayload returns the payload of section id.
+func sectionPayload(t *testing.T, data []byte, id uint32) []byte {
+	t.Helper()
+	count := int(leU32(data[12:]))
+	for i := 0; i < count; i++ {
+		row := headerLen + i*entryLen
+		if leU32(data[row:]) == id {
+			off, length := leU64(data[row+8:]), leU64(data[row+16:])
+			return data[off : off+length]
+		}
+	}
+	t.Fatalf("artifact has no section %d", id)
+	return nil
+}
+
+// replaceSection rebuilds an artifact with section id's payload
+// swapped for payload: later payloads shift, and the section and
+// table CRCs are recomputed.
+func replaceSection(t *testing.T, data []byte, id uint32, payload []byte) []byte {
+	t.Helper()
+	count := int(leU32(data[12:]))
+	tableEnd := headerLen + entryLen*count
+	out := slices.Clone(data[:tableEnd+4])
+	var payloads [][]byte
+	shift := 0
+	for i := 0; i < count; i++ {
+		row := headerLen + i*entryLen
+		off, length := int(leU64(data[row+8:])), int(leU64(data[row+16:]))
+		p := data[off : off+length]
+		if leU32(data[row:]) == id {
+			p = payload
+		}
+		le64Put(out[row+8:], uint64(off+shift))
+		le64Put(out[row+16:], uint64(len(p)))
+		binaryPutU32(out[row+24:], crc32.ChecksumIEEE(p))
+		shift += len(p) - length
+		payloads = append(payloads, p)
+	}
+	binaryPutU32(out[tableEnd:], crc32.ChecksumIEEE(out[headerLen:tableEnd]))
+	for _, p := range payloads {
+		out = append(out, p...)
+	}
+	return out
 }
 
 func TestWriteFileReadFile(t *testing.T) {

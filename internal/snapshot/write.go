@@ -16,8 +16,9 @@ import (
 
 // Encode serialises a model decomposition into the artifact byte
 // layout. The output is deterministic for a given Parts value — no
-// timestamps, no host-dependent fields — so rebuilding the same model
-// yields a byte-identical artifact with the same checksum.
+// timestamps, wall times or host-dependent fields — so two builds of
+// the same input yield byte-identical artifacts with the same
+// checksum.
 func Encode(p shine.Parts) ([]byte, error) {
 	p, err := normalizeParts(p)
 	if err != nil {
@@ -62,7 +63,6 @@ func encodeParts(p shine.Parts) ([]byte, error) {
 	// Section 1: meta JSON.
 	meta := metaSection{
 		EntityType:   schema.Type(p.EntityType).Name,
-		PRSeconds:    p.PRSeconds,
 		PRIterations: p.PRIterations,
 		Centrality:   p.Centrality,
 	}
@@ -147,14 +147,18 @@ func encodeParts(p shine.Parts) ([]byte, error) {
 	add(secGeneric, gen)
 
 	// Section 8: frozen mixture index — entity list, cumulative nnz
-	// offsets, then all indices and all values concatenated.
-	mix := appendU32(nil, uint32(len(p.Mixtures)))
+	// offsets, then all indices and all values concatenated. It is by
+	// far the largest section, so it is allocated once at its exact
+	// size.
 	ents := make([]int32, len(p.Mixtures))
 	cum := make([]uint32, len(p.Mixtures)+1)
 	for i, en := range p.Mixtures {
 		ents[i] = int32(en.Entity)
 		cum[i+1] = cum[i] + uint32(en.Mixture.Len())
 	}
+	nnz := int(cum[len(p.Mixtures)])
+	mix := make([]byte, 0, 4+4*len(ents)+4*len(cum)+(4+8)*nnz)
+	mix = appendU32(mix, uint32(len(p.Mixtures)))
 	mix = appendI32s(mix, ents)
 	mix = appendU32s(mix, cum)
 	for _, en := range p.Mixtures {

@@ -1,9 +1,9 @@
 package sparse
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -170,7 +170,7 @@ func (d Dist) Top(n int) []Entry {
 
 // compareTopEntries orders entries by descending value, ties broken
 // by ascending index — the shared selection rule of Vector.Top,
-// Dist.Top and Accum.TopDist.
+// Dist.Top and Accum.Prune.
 func compareTopEntries(a, b Entry) int {
 	switch {
 	case a.Value > b.Value:
@@ -318,25 +318,32 @@ func MixDists(ds []Dist, cs []float64) Dist {
 	return acc.Dist()
 }
 
-// Accum is a dense scatter-gather accumulator: a dense value array
-// plus the list of touched indices, so building a sparse result costs
-// O(touched) and resetting costs O(touched) rather than O(dense). It
-// is the workhorse of the CSR walk kernel — frontier expansion
-// scatters into the dense array without hashing, and the sorted
-// touched list yields the next frontier in ascending index order.
+// Accum is a dense scatter-gather accumulator: a dense value array, a
+// bitset of touched indices and the list of those indices, so
+// building a sparse result costs O(touched) and resetting costs
+// O(touched) rather than O(dense). It is the workhorse of the CSR
+// walk kernel — frontier expansion scatters into the dense array
+// without hashing, and the touched list, put in ascending order,
+// yields the next frontier in CSR order.
 //
 // An Accum is not safe for concurrent use; check one out per
 // goroutine (see AccumPool).
 type Accum struct {
-	dense   []float64
-	seen    []bool
+	dense []float64
+	// seen has bit i%64 of word i/64 set iff index i is in touched.
+	seen    []uint64
 	touched []int32
+	// top is Prune's reusable selection buffer.
+	top []Entry
 }
 
 // NewAccum returns an accumulator over indices [0, n).
 func NewAccum(n int) *Accum {
-	return &Accum{dense: make([]float64, n), seen: make([]bool, n)}
+	return &Accum{dense: make([]float64, n), seen: make([]uint64, bitsetWords(n))}
 }
+
+// bitsetWords is the number of 64-bit words a bitset over [0, n) needs.
+func bitsetWords(n int) int { return (n + 63) / 64 }
 
 // Grow ensures the accumulator covers indices [0, n). Existing
 // accumulated state is preserved.
@@ -346,7 +353,7 @@ func (a *Accum) Grow(n int) {
 	}
 	dense := make([]float64, n)
 	copy(dense, a.dense)
-	seen := make([]bool, n)
+	seen := make([]uint64, bitsetWords(n))
 	copy(seen, a.seen)
 	a.dense, a.seen = dense, seen
 }
@@ -360,8 +367,9 @@ func (a *Accum) Len() int { return len(a.touched) }
 
 // Add accumulates x into index i.
 func (a *Accum) Add(i int32, x float64) {
-	if !a.seen[i] {
-		a.seen[i] = true
+	w, bit := i>>6, uint64(1)<<(uint32(i)&63)
+	if a.seen[w]&bit == 0 {
+		a.seen[w] |= bit
 		a.touched = append(a.touched, i)
 	}
 	a.dense[i] += x
@@ -385,21 +393,61 @@ func (a *Accum) AddMix(ds []Dist, cs []float64) {
 	}
 }
 
-// Reset clears the accumulator in O(touched).
+// Reset clears the accumulator in O(touched). Every set bit belongs
+// to a touched index, so clearing each touched index's whole word
+// clears the bitset.
 func (a *Accum) Reset() {
 	for _, i := range a.touched {
 		a.dense[i] = 0
-		a.seen[i] = false
+		a.seen[i>>6] = 0
 	}
 	a.touched = a.touched[:0]
 }
 
-// sortTouched orders the touched list ascending. Sorting makes every
-// consumer deterministic: the walk kernel expands the next frontier
-// in ascending index order, and frozen results list indices in CSR
-// order, independent of the scatter order that built them.
-func (a *Accum) sortTouched() {
-	slices.Sort(a.touched)
+// scanMinRatio is the crossover of order: the touched list is rebuilt
+// from the bitset when it holds at least one index per scanMinRatio
+// bitset words, and sorted otherwise. The scan costs a pass over every
+// word plus one TrailingZeros64 per index; the sort costs O(t log t)
+// compares. BenchmarkAccumOrder measured the two equal at 22–30
+// indices over 161 words (10,282 objects, the default generated
+// network) on a 2-vCPU x86-64 host: one index per 5–7 words.
+const scanMinRatio = 6
+
+// order puts the touched list in ascending index order. Both branches
+// yield the same order, so every consumer is deterministic
+// independent of the scatter order that built the accumulator: the
+// walk kernel expands the next frontier in ascending index order, and
+// frozen results list indices in CSR order.
+func (a *Accum) order() {
+	if len(a.touched)*scanMinRatio < len(a.seen) {
+		slices.Sort(a.touched)
+		return
+	}
+	a.scanTouched()
+}
+
+// scanTouched rebuilds the touched list in ascending order from the
+// bitset, one word at a time.
+func (a *Accum) scanTouched() {
+	t := a.touched[:0]
+	for w, word := range a.seen {
+		for word != 0 {
+			t = append(t, int32(w<<6|bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	a.touched = t
+}
+
+// Ordered puts the touched indices in ascending order and returns
+// them with the dense value array, which holds each touched index's
+// accumulated value. Entries that cancelled to exactly zero stay
+// listed; callers skip them, as Dist does. Both slices are shared
+// with the accumulator, must not be modified, and are valid until the
+// next Add, Prune, Reset or Grow.
+func (a *Accum) Ordered() (idx []int32, dense []float64) {
+	a.order()
+	return a.touched, a.dense
 }
 
 // Dist freezes the accumulated values into a new immutable Dist,
@@ -407,7 +455,7 @@ func (a *Accum) sortTouched() {
 // Add semantics, which delete them). The accumulator is left intact;
 // call Reset to reuse it.
 func (a *Accum) Dist() Dist {
-	a.sortTouched()
+	a.order()
 	nz := 0
 	for _, i := range a.touched {
 		if a.dense[i] != 0 {
@@ -425,30 +473,44 @@ func (a *Accum) Dist() Dist {
 	return Dist{idx: idx, val: val}
 }
 
-// TopDist freezes only the n largest accumulated entries (descending
-// value, ties broken by ascending index — Vector.Top's selection
-// rule) into a Dist. This is the support-pruning path of the walk
+// Prune keeps only the n largest non-zero entries in place, selected
+// by Vector.Top's rule (descending value, ties broken by ascending
+// index — a total order, so exactly n survive when more are
+// non-zero), and clears every other touched index. The survivors keep
+// their values. Prune(0) empties the accumulator, as Vector.Top(0)
+// selects nothing. This is the support-pruning step of the walk
 // kernel.
-func (a *Accum) TopDist(n int) Dist {
-	a.sortTouched()
-	entries := make([]Entry, 0, len(a.touched))
+func (a *Accum) Prune(n int) {
+	if n <= 0 {
+		a.Reset()
+		return
+	}
+	if len(a.touched) <= n {
+		return
+	}
+	a.order()
+	top := a.top[:0]
 	for _, i := range a.touched {
 		if x := a.dense[i]; x != 0 {
-			entries = append(entries, Entry{Index: i, Value: x})
+			top = append(top, Entry{Index: i, Value: x})
 		}
 	}
-	slices.SortFunc(entries, compareTopEntries)
-	if len(entries) > n {
-		entries = entries[:n]
+	a.top = top
+	if len(top) <= n {
+		return
 	}
-	slices.SortFunc(entries, func(x, y Entry) int { return cmp.Compare(x.Index, y.Index) })
-	idx := make([]int32, len(entries))
-	val := make([]float64, len(entries))
-	for k, e := range entries {
-		idx[k] = e.Index
-		val[k] = e.Value
+	slices.SortFunc(top, compareTopEntries)
+	last := top[n-1]
+	kept := a.touched[:0]
+	for _, i := range a.touched {
+		if x := a.dense[i]; x != 0 && compareTopEntries(Entry{Index: i, Value: x}, last) <= 0 {
+			kept = append(kept, i)
+			continue
+		}
+		a.dense[i] = 0
+		a.seen[i>>6] &^= uint64(1) << (uint32(i) & 63)
 	}
-	return Dist{idx: idx, val: val}
+	a.touched = kept
 }
 
 // AccumPool is a sync.Pool of equally sized accumulators. Hot paths

@@ -1,8 +1,11 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -207,45 +210,164 @@ func TestAccumMatchesVectorAdds(t *testing.T) {
 			t.Fatalf("trial %d: %d touched after Reset", trial, acc.Len())
 		}
 		for i := 0; i < n; i++ {
-			if acc.dense[i] != 0 || acc.seen[i] {
+			if acc.dense[i] != 0 || acc.seen[i>>6]>>(i&63)&1 != 0 {
 				t.Fatalf("trial %d: index %d dirty after Reset", trial, i)
 			}
 		}
 	}
 }
 
-// TestAccumTopDistMatchesVectorTop: the pruning path applies exactly
-// Vector.Top's selection rule, then re-sorts by index.
-func TestAccumTopDistMatchesVectorTop(t *testing.T) {
+// TestAccumPruneMatchesVectorTop: the in-place prune keeps exactly
+// the entries Vector.Top selects, with their values, lists them in
+// ascending index order and clears the bits of everything it drops.
+// Values repeat often, so the index tiebreak decides many cuts, and
+// the support spans both sides of the sort/scan crossover.
+func TestAccumPruneMatchesVectorTop(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 100; trial++ {
-		const n = 96
-		acc := NewAccum(n)
+	const n = 64 * 200
+	acc := NewAccum(n)
+	for trial := 0; trial < 200; trial++ {
 		v := New()
 		for j := 0; j < 5+rng.Intn(120); j++ {
 			i := int32(rng.Intn(n))
-			x := rng.Float64()
+			x := float64(1+rng.Intn(4)) / 8
 			acc.Add(i, x)
 			v.Add(i, x)
 		}
-		k := 1 + rng.Intn(10)
-		got := acc.TopDist(k)
+		k := rng.Intn(12)
 		want := v.Top(k)
-		if got.Len() != len(want) {
-			t.Fatalf("trial %d: TopDist(%d) has %d entries, want %d", trial, k, got.Len(), len(want))
+		acc.Prune(k)
+		if acc.Len() != len(want) {
+			t.Fatalf("trial %d: Prune(%d) kept %d entries, want %d", trial, k, acc.Len(), len(want))
+		}
+		idx, dense := acc.Ordered()
+		for j, i := range idx {
+			if j > 0 && idx[j-1] >= i {
+				t.Fatalf("trial %d: pruned indices not ascending: %d then %d", trial, idx[j-1], i)
+			}
 		}
 		for _, e := range want {
-			if x := got.Get(e.Index); x != e.Value {
-				t.Fatalf("trial %d: TopDist[%d] = %v, want %v", trial, e.Index, x, e.Value)
+			if x := dense[e.Index]; x != e.Value {
+				t.Fatalf("trial %d: pruned[%d] = %v, want %v", trial, e.Index, x, e.Value)
 			}
 		}
-		// CSR invariant: strictly ascending indices.
-		for j := 1; j < got.Len(); j++ {
-			a, _ := got.At(j - 1)
-			b, _ := got.At(j)
-			if a >= b {
-				t.Fatalf("trial %d: TopDist indices not ascending: %d then %d", trial, a, b)
+		checkBitsetMatchesTouched(t, acc)
+		acc.Reset()
+		checkClean(t, acc)
+	}
+}
+
+// TestAccumOrderedMatchesVector: on both sides of the sort/scan
+// crossover, Ordered and Dist agree bit-for-bit with a Vector built by
+// the same Add sequence, in ascending index order. The sequences hit
+// the bitset's word boundaries (0, 63, 64, n−1), cancel entries to
+// exactly zero, grow the accumulator after use and reuse it after
+// Reset.
+func TestAccumOrderedMatchesVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sorted, scanned := 0, 0
+	for trial := 0; trial < 100; trial++ {
+		n := 64*100 + rng.Intn(64) // 100 or 101 words: scans from 17 indices up
+		acc := NewAccum(n / 2)
+		for round := 0; round < 3; round++ {
+			v := New()
+			add := func(limit int) {
+				boundary := []int32{0, 63, 64, int32(limit - 1)}
+				for j := 0; j < rng.Intn(40); j++ {
+					i := int32(rng.Intn(limit))
+					if rng.Intn(4) == 0 {
+						i = boundary[rng.Intn(len(boundary))]
+					}
+					x := rng.Float64()*2 - 1
+					acc.Add(i, x)
+					v.Add(i, x)
+					if rng.Intn(8) == 0 {
+						acc.Add(i, -acc.dense[i]) // cancel to exactly zero
+						v.Add(i, -v[i])
+					}
+				}
 			}
+			add(acc.Size())
+			if round == 1 {
+				acc.Grow(n) // grow a used accumulator, then keep adding
+				add(n)
+			}
+			if acc.Len()*scanMinRatio < len(acc.seen) {
+				sorted++
+			} else {
+				scanned++
+			}
+			touched := acc.Len()
+			idx, dense := acc.Ordered()
+			if len(idx) != touched {
+				t.Fatalf("trial %d: Ordered lists %d indices, %d touched", trial, len(idx), touched)
+			}
+			var got []Entry
+			for j, i := range idx {
+				if j > 0 && idx[j-1] >= i {
+					t.Fatalf("trial %d: indices not ascending: %d then %d", trial, idx[j-1], i)
+				}
+				if x := dense[i]; x != 0 {
+					got = append(got, Entry{Index: i, Value: x})
+				}
+			}
+			wantIdx := v.Indices()
+			if len(got) != len(wantIdx) {
+				t.Fatalf("trial %d: %d non-zero entries, want %d", trial, len(got), len(wantIdx))
+			}
+			d := acc.Dist()
+			if d.Len() != len(wantIdx) {
+				t.Fatalf("trial %d: Dist has %d entries, want %d", trial, d.Len(), len(wantIdx))
+			}
+			for j, i := range wantIdx {
+				di, dx := d.At(j)
+				if got[j].Index != i || got[j].Value != v[i] || di != i || dx != v[i] {
+					t.Fatalf("trial %d: entry %d = %+v, Dist (%d, %v), want (%d, %v)",
+						trial, j, got[j], di, dx, i, v[i])
+				}
+			}
+			checkBitsetMatchesTouched(t, acc)
+			acc.Reset()
+			checkClean(t, acc)
+		}
+	}
+	if sorted == 0 || scanned == 0 {
+		t.Fatalf("crossover not straddled: %d sorted, %d scanned", sorted, scanned)
+	}
+}
+
+// checkBitsetMatchesTouched: the bitset holds exactly the touched
+// indices.
+func checkBitsetMatchesTouched(t *testing.T, a *Accum) {
+	t.Helper()
+	bitsSet := 0
+	for _, w := range a.seen {
+		bitsSet += bits.OnesCount64(w)
+	}
+	if bitsSet != a.Len() {
+		t.Fatalf("%d bits set for %d touched indices", bitsSet, a.Len())
+	}
+	for _, i := range a.touched {
+		if a.seen[i>>6]>>(i&63)&1 == 0 {
+			t.Fatalf("touched index %d has no bit", i)
+		}
+	}
+}
+
+// checkClean: after Reset no value, bit or touched index remains.
+func checkClean(t *testing.T, a *Accum) {
+	t.Helper()
+	if a.Len() != 0 {
+		t.Fatalf("%d touched after Reset", a.Len())
+	}
+	for w, word := range a.seen {
+		if word != 0 {
+			t.Fatalf("bitset word %d dirty after Reset: %#x", w, word)
+		}
+	}
+	for i, x := range a.dense {
+		if x != 0 {
+			t.Fatalf("index %d dirty after Reset: %v", i, x)
 		}
 	}
 }
@@ -301,5 +423,33 @@ func TestAccumGrow(t *testing.T) {
 	d := a.Dist()
 	if d.Get(2) != 0.5 || d.Get(10) != 0.25 {
 		t.Fatalf("state lost across Grow: %v", d)
+	}
+}
+
+// BenchmarkAccumOrder times both branches of order on the same
+// shuffled touched lists: uniformly spread indices over 10,282 objects
+// (161 bitset words), the size of the default generated network. The
+// crossover where the two cost the same sets scanMinRatio.
+func BenchmarkAccumOrder(b *testing.B) {
+	const n = 10282
+	for _, touched := range []int{10, 20, 40, 80} {
+		rng := rand.New(rand.NewSource(int64(touched)))
+		a := NewAccum(n)
+		for a.Len() < touched {
+			a.Add(int32(rng.Intn(n)), 1)
+		}
+		shuffled := slices.Clone(a.touched)
+		b.Run(fmt.Sprintf("touched=%d/sort", touched), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(a.touched, shuffled)
+				slices.Sort(a.touched)
+			}
+		})
+		b.Run(fmt.Sprintf("touched=%d/scan", touched), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(a.touched, shuffled)
+				a.scanTouched()
+			}
+		})
 	}
 }

@@ -8,13 +8,13 @@ go build ./...
 go vet ./...
 go test -race ./...
 # Smoke the serving-path, offline-pipeline, snapshot, candidate-index,
-# streaming, incremental-update, centrality-backend and annotation
-# benchmarks (one iteration each) so they cannot rot between perf PRs;
-# real numbers live in BENCH_link.json, BENCH_offline.json,
-# BENCH_snapshot.json, BENCH_candidates.json, BENCH_stream.json,
-# BENCH_incremental.json and BENCH_centrality.json, and the annotate
-# end-to-end numbers come from bench/run.sh.
-go test -run=NONE -bench='Link|PageRank|Build|Snapshot|Candidates|Stream|Delta|WarmStart|Centrality|Annotate' -benchtime=1x .
+# streaming, incremental-update, centrality-backend, annotation and
+# walk-kernel benchmarks (one iteration each) so they cannot rot
+# between perf PRs; real numbers live in BENCH_link.json,
+# BENCH_offline.json, BENCH_snapshot.json, BENCH_candidates.json,
+# BENCH_stream.json, BENCH_incremental.json and BENCH_centrality.json,
+# and the end-to-end numbers come from bench/run.sh.
+go test -run=NONE -bench='Link|PageRank|Build|Snapshot|Candidates|Stream|Delta|WarmStart|Centrality|Annotate|Walk|Precompute' -benchtime=1x .
 # Centrality-backend contract: the four-backend comparison harness
 # (McNemar against the pagerank baseline) must keep its shape.
 go test -run TestCentralityComparisonShape ./internal/experiments/
