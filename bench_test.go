@@ -915,7 +915,7 @@ func BenchmarkLinkParallel10K(b *testing.B) {
 // BenchmarkSnapshotLoad measures restoring a ready-to-serve model from
 // the binary artifact — CRC validation, section slicing and FromParts
 // — the replica cold-start path. MB/s comes from SetBytes; contrast
-// with BenchmarkSnapshotColdJSON, the path the artifact replaces.
+// with BenchmarkSnapshotColdRebuild, the path the artifact replaces.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	e := benchEnv(b)
 	m := linkModel(b, e)
@@ -937,34 +937,34 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotColdJSON measures reaching the same warm serving
-// state without the artifact: graph deserialisation, model
-// reconstruction from the JSON state (PageRank, candidate indexing)
-// and the full mixture precompute. The ratio to BenchmarkSnapshotLoad
-// is the artifact's cold-start speedup, recorded in
-// BENCH_snapshot.json.
-func BenchmarkSnapshotColdJSON(b *testing.B) {
+// BenchmarkSnapshotColdRebuild measures reaching the same warm
+// serving state without the artifact: graph deserialisation, model
+// reconstruction (centrality, candidate indexing, the generic model),
+// installing the trained weights and the full mixture precompute. The
+// ratio to BenchmarkSnapshotLoad is the artifact's cold-start speedup,
+// recorded in BENCH_snapshot.json.
+func BenchmarkSnapshotColdRebuild(b *testing.B) {
 	e := benchEnv(b)
-	m := linkModel(b, e)
-	var graphBuf, modelBuf bytes.Buffer
+	weights := linkModel(b, e).Weights()
+	var graphBuf bytes.Buffer
 	if _, err := e.DS.Data.Graph.WriteTo(&graphBuf); err != nil {
 		b.Fatal(err)
 	}
-	if err := m.Save(&modelBuf); err != nil {
-		b.Fatal(err)
-	}
-	graphData, modelData := graphBuf.Bytes(), modelBuf.Bytes()
+	graphData := graphBuf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, err := hin.ReadGraph(bytes.NewReader(graphData))
 		if err != nil {
 			b.Fatal(err)
 		}
-		m2, err := shine.Load(bytes.NewReader(modelData), g, e.DS.Corpus)
+		m, err := shine.New(g, e.DS.Data.Schema.Author, e.Paths10, e.DS.Corpus, shine.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := m2.PrecomputeMixtures(); err != nil {
+		if err := m.SetWeights(weights); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.PrecomputeMixtures(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,8 +9,11 @@
 //	shine stats -graph FILE                      network statistics
 //	shine paths [-maxlen N] [-enumerate]         show the meta-path set
 //	shine link  -graph FILE -docs FILE [flags]   learn weights and link
+//	shine snapshot build -out FILE [flags]       train and write the model artifact
 //	shine bench -exp NAME [-quick]               regenerate a paper table/figure
 //
+// The model-serving commands (link, annotate, serve) get their model
+// one way: from a -snapshot artifact, or trained on -graph and -docs.
 // Every command is deterministic given its flags.
 package main
 
@@ -65,8 +68,6 @@ func main() {
 		err = cmdPaths(os.Args[2:])
 	case "link":
 		err = cmdLink(os.Args[2:])
-	case "train":
-		err = cmdTrain(os.Args[2:])
 	case "annotate":
 		err = cmdAnnotate(os.Args[2:])
 	case "serve":
@@ -112,47 +113,36 @@ Commands:
   paths  [-maxlen N] [-enumerate]
          Show the paper's meta-path set (Table 3), or enumerate all
          author-rooted meta-paths up to -maxlen by schema BFS.
-  link   -graph FILE -docs FILE [-model FILE] [-snapshot FILE] [-theta F] [-uniform-pop] [-popularity NAME] [-no-learn] [-top N] [-workers N] [-fuzzy N]
-         Ingest the documents, learn meta-path weights by EM (or load a
-         trained model), link every mention and report accuracy.
-         -snapshot skips -graph/-model and restores the whole model
-         from a binary artifact. -popularity selects the centrality
-         backend behind P(e): pagerank (default), degree, hits or
-         ppr (type-personalized PageRank). -fuzzy N retries mentions
-         with no exact candidates at edit distance ≤ N (max 2)
-         against the surface-form trie — for noisy OCR-style input.
-  train  -graph FILE -docs FILE -model FILE [-snapshot FILE] [-theta F] [-uniform-pop] [-popularity NAME] [-workers N]
-         Learn meta-path weights by EM and save the trained model.
-         -snapshot additionally writes the binary artifact servers
-         boot and hot-swap from. -workers bounds offline (centrality)
-         and training parallelism (0 = GOMAXPROCS); any worker count
-         computes bit-identical scores and learns bit-identical
-         weights.
-  annotate -graph FILE -docs FILE [-model FILE] [-in FILE] [-min-posterior F]
+  MODEL SOURCE, shared by link, annotate and serve:
+         -snapshot FILE, an artifact from "snapshot build", or
+         -graph FILE -docs FILE [-workers N] to train here.
+         -popularity NAME picks the P(e) backend (pagerank, degree,
+         hits, ppr) or, with -snapshot, asserts the artifact's.
+         -graph, -workers and -docs (except on link) conflict with
+         -snapshot.
+  link   MODEL SOURCE [-top N] [-precompute] [-fuzzy N]
+         Link every mention in -docs and report accuracy. -fuzzy N
+         retries mentions with no exact candidates at edit distance
+         ≤ N (max 2) against the surface-form trie.
+  annotate MODEL SOURCE [-in FILE] [-min-posterior F]
          Detect every entity mention in raw text (stdin or -in) and
          link each one, printing spans, entities and confidences.
-  serve  -graph FILE -docs FILE [-model FILE] [-snapshot FILE]
-         [-addr :8080] [-nil-prior F] [-popularity NAME]
-         [-metrics=true] [-pprof] [-drain 10s] [-workers N]
-         [-timeout D] [-max-inflight N] [-max-queue N] [-fuzzy N]
+  serve  MODEL SOURCE [-addr :8080] [-nil-prior F] [-metrics=true]
+         [-pprof] [-drain 10s] [-precompute] [-timeout D]
+         [-max-inflight N] [-max-queue N] [-fuzzy N]
          Serve the model over HTTP: /v1/link, /v1/annotate,
          /v1/explain, /v1/entity, /v1/healthz, /v1/readyz, plus
-         Prometheus metrics at /metrics and optional /debug/pprof
-         profiling. -timeout bounds each model-serving request;
-         -max-inflight sheds excess load with 429 once its wait
-         queue fills. SIGINT/SIGTERM drains in-flight requests
-         before exiting. -snapshot boots from a binary artifact
-         (no -graph/-docs needed) and enables zero-downtime hot
-         swaps: SIGHUP or POST /v1/admin/reload re-reads the
-         artifact and atomically swaps the serving model. -fuzzy N
-         enables edit-distance candidate fallback on the serving
-         endpoints and /v1/candidates?fuzzy=1 (survives hot swaps).
-  snapshot build   -graph FILE -docs FILE [-model FILE] [-popularity NAME] [-precompute] -out FILE
-         Package a model (trained via -model, or learned on the
-         spot) into a versioned, checksummed binary artifact that
-         loads in milliseconds. The artifact records which
-         -popularity backend produced its popularity section, and
-         loading refuses to mix backends.
+         Prometheus metrics at /metrics and optional /debug/pprof.
+         -timeout bounds each model-serving request; -max-inflight
+         sheds excess load with 429 once its wait queue fills.
+         SIGINT/SIGTERM drains in-flight requests before exiting.
+         With -snapshot, SIGHUP or POST /v1/admin/reload re-reads
+         the artifact and swaps the serving model with no downtime.
+  snapshot build   -graph FILE -docs FILE -out FILE [-popularity NAME]
+         [-workers N] [-theta F] [-uniform-pop] [-no-learn] [-precompute=true]
+         Train a model and write the checksummed artifact the other
+         commands load in milliseconds. -theta, -uniform-pop and
+         -no-learn (uniform meta-path weights) vary the model.
   snapshot inspect FILE [-json]
          Validate an artifact end to end and print its version,
          checksum, size and contents summary.
@@ -176,11 +166,8 @@ Commands:
            {"op":"object","type":"paper","name":"p-9"}
            {"op":"edge","rel":"write","src":{"type":"author","name":"A"},
             "dst":{"type":"paper","name":"p-9"}}
-         The batch is transactional (a bad line rejects it all), a
-         concurrent reload or update answers 409, and the server
-         splices the delta into the serving graph in place of a full
-         rebuild: CSR merge, warm-started PageRank and per-entity
-         cache invalidation.
+         The batch is transactional (a bad line rejects it all), and
+         a concurrent reload or update answers 409.
 `)
 }
 
@@ -418,7 +405,155 @@ func cmdPaths(args []string) error {
 	return tw.Flush()
 }
 
-// ------------------------------------------------------------------ link
+// ----------------------------------------------------------------- model
+
+// modelSource holds the flags that say where a command's model comes
+// from: a -snapshot artifact, or -graph and -docs to train on. Every
+// model command registers them through addModelFlags (snapshot build
+// through addTrainFlags), so they have one spelling and one help text.
+type modelSource struct {
+	fs                    *flag.FlagSet
+	snapshot, graph, docs string
+	popularity            string
+	workers               int
+	// linksDocs marks a command that links the -docs file itself
+	// (link), so the documents load on a snapshot boot too; elsewhere
+	// -docs only trains.
+	linksDocs bool
+}
+
+// loadedModel is a command's model together with the DBLP handles of
+// its graph.
+type loadedModel struct {
+	m      *shine.Model
+	schema *hin.DBLPSchema
+	// docs is the ingested -docs file; nil after a snapshot boot of a
+	// command that does not link its documents.
+	docs *corpus.Corpus
+	// info identifies the artifact of a snapshot boot; nil for a model
+	// trained here.
+	info *snapshot.Info
+}
+
+// addTrainFlags registers the flags that train a model.
+func addTrainFlags(fs *flag.FlagSet) *modelSource {
+	s := &modelSource{fs: fs}
+	fs.StringVar(&s.graph, "graph", "dataset.hin", "network file to train on")
+	fs.StringVar(&s.docs, "docs", "docs.json", "documents file (JSON lines of RawDoc)")
+	fs.StringVar(&s.popularity, "popularity", "", "centrality backend for P(e): pagerank (default), degree, hits or ppr; with -snapshot, asserts the artifact's backend")
+	fs.IntVar(&s.workers, "workers", 0, "training worker goroutines (0 = GOMAXPROCS)")
+	return s
+}
+
+// addModelFlags registers the model-source flags of link, annotate and
+// serve: the training flags plus -snapshot.
+func addModelFlags(fs *flag.FlagSet, linksDocs bool) *modelSource {
+	s := addTrainFlags(fs)
+	s.linksDocs = linksDocs
+	fs.StringVar(&s.snapshot, "snapshot", "", "artifact written by \"shine snapshot build\", loaded instead of training")
+	return s
+}
+
+// config is the default model configuration under -popularity and
+// -workers.
+func (s *modelSource) config() shine.Config {
+	cfg := shine.DefaultConfig()
+	if s.popularity != "" {
+		cfg.Centrality = s.popularity
+	}
+	if s.workers > 0 {
+		cfg.Workers = s.workers
+	}
+	return cfg
+}
+
+// load returns the command's model: read from the -snapshot artifact,
+// or trained on -graph and -docs. reg, when non-nil, receives the
+// load-time gauge and the EM metrics. Progress goes to stderr, so
+// stdout carries only the command's results.
+func (s *modelSource) load(reg *obs.Registry) (*loadedModel, error) {
+	if s.snapshot == "" {
+		return s.train(reg, s.config(), true)
+	}
+	var conflict error
+	s.fs.Visit(func(f *flag.Flag) {
+		trains := f.Name == "graph" || f.Name == "workers" || (f.Name == "docs" && !s.linksDocs)
+		if trains && conflict == nil {
+			conflict = fmt.Errorf("-%s trains a model, so it cannot be combined with -snapshot", f.Name)
+		}
+	})
+	if conflict != nil {
+		return nil, conflict
+	}
+	start := time.Now()
+	snap, err := snapshot.ReadFile(s.snapshot)
+	if err != nil {
+		return nil, err
+	}
+	info := snap.Info()
+	// The artifact's config already keeps its backend consistent;
+	// this catches a -popularity flag that names another one.
+	if s.popularity != "" && s.popularity != info.Centrality {
+		return nil, fmt.Errorf("snapshot was built with centrality backend %q, but -popularity requests %q; rebuild the artifact with `shine snapshot build -popularity %s`",
+			info.Centrality, s.popularity, s.popularity)
+	}
+	m, err := snap.Model()
+	if err != nil {
+		return nil, err
+	}
+	if reg != nil {
+		reg.Gauge(server.MetricSnapshotLoadSeconds).Set(time.Since(start).Seconds())
+	}
+	fmt.Fprintf(os.Stderr, "loaded %s in %v\n", info, time.Since(start).Round(time.Millisecond))
+	lm := &loadedModel{m: m, info: &info}
+	if lm.schema, err = dblpHandles(m.Graph()); err != nil {
+		return nil, err
+	}
+	if s.linksDocs {
+		if lm.docs, err = loadCorpus(m.Graph(), lm.schema, s.docs); err != nil {
+			return nil, err
+		}
+	}
+	return lm, nil
+}
+
+// train builds a model from -graph and -docs under cfg and, if learn
+// is set, fits its meta-path weights by EM.
+func (s *modelSource) train(reg *obs.Registry, cfg shine.Config, learn bool) (*loadedModel, error) {
+	start := time.Now()
+	g, err := loadGraph(s.graph)
+	if err != nil {
+		return nil, err
+	}
+	if reg != nil {
+		reg.Gauge(shine.MetricGraphBuildSeconds).Set(time.Since(start).Seconds())
+	}
+	d, err := dblpHandles(g)
+	if err != nil {
+		return nil, err
+	}
+	c, err := loadCorpus(g, d, s.docs)
+	if err != nil {
+		return nil, err
+	}
+	m, err := shine.New(g, d.Author, metapath.DBLPPaperPaths(d), c, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.SetMetrics(reg)
+	if learn {
+		stats, err := m.Learn(c)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "learned weights in %d EM iterations (%d gradient steps, %v/EM iter)\n",
+			stats.EMIterations, stats.GDIterations, stats.EMIterTime)
+		for i, p := range m.Paths() {
+			fmt.Fprintf(os.Stderr, "  w(%s) = %.4f\n", p, m.Weights()[i])
+		}
+	}
+	return &loadedModel{m: m, schema: d, docs: c}, nil
+}
 
 // loadCorpus reads and ingests a document file against a graph.
 func loadCorpus(g *hin.Graph, d *hin.DBLPSchema, docsPath string) (*corpus.Corpus, error) {
@@ -437,123 +572,47 @@ func loadCorpus(g *hin.Graph, d *hin.DBLPSchema, docsPath string) (*corpus.Corpu
 	return c, nil
 }
 
+// precompute builds the model's frozen entity-mixture index and
+// reports its size.
+func precompute(m *shine.Model) error {
+	start := time.Now()
+	if err := m.PrecomputeMixtures(); err != nil {
+		return fmt.Errorf("precomputing mixtures: %w", err)
+	}
+	fmt.Printf("precomputed %d entity mixtures in %v\n",
+		m.MixtureStats().Entries, time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// ------------------------------------------------------------------ link
+
 func cmdLink(args []string) error {
 	fs := flag.NewFlagSet("link", flag.ExitOnError)
-	graphPath := fs.String("graph", "dataset.hin", "network file")
-	docsPath := fs.String("docs", "docs.json", "documents file (JSON lines of RawDoc)")
-	modelPath := fs.String("model", "", "trained model file (from `shine train`); skips learning")
-	snapPath := fs.String("snapshot", "", "binary artifact (from `shine snapshot build`); skips -graph and -model")
-	theta := fs.Float64("theta", 0.2, "smoothing parameter θ")
-	uniformPop := fs.Bool("uniform-pop", false, "use the uniform popularity model")
-	popularity := fs.String("popularity", "", "centrality backend for P(e): pagerank, degree, hits or ppr (default pagerank; with -snapshot, asserts the artifact's backend)")
-	noLearn := fs.Bool("no-learn", false, "skip EM learning; use uniform meta-path weights")
+	src := addModelFlags(fs, true)
 	top := fs.Int("top", 0, "print the top-N candidate posteriors per mention")
-	workers := fs.Int("workers", 0, "offline-pipeline and training worker goroutines (0 = GOMAXPROCS)")
-	precompute := fs.Bool("precompute", false, "eagerly build the frozen entity-mixture index before linking")
+	precomputeOn := fs.Bool("precompute", false, "eagerly build the frozen entity-mixture index before linking")
 	fuzzy := fs.Int("fuzzy", 0, "fall back to edit-distance-N candidate retrieval when the exact rules find none (0 = off, max 2)")
 	fs.Parse(args)
 
-	if *snapPath != "" {
-		// The artifact carries the graph, so only the documents load
-		// from disk.
-		snap, err := snapshot.ReadFile(*snapPath)
-		if err != nil {
-			return err
-		}
-		if err := checkSnapshotCentrality(snap.Info(), *popularity); err != nil {
-			return err
-		}
-		m, err := snap.Model()
-		if err != nil {
-			return err
-		}
-		if err := m.SetFuzzyDistance(*fuzzy); err != nil {
-			return err
-		}
-		fmt.Printf("loaded %s\n", snap.Info())
-		g := m.Graph()
-		d, err := dblpHandles(g)
-		if err != nil {
-			return err
-		}
-		c, err := loadCorpus(g, d, *docsPath)
-		if err != nil {
-			return err
-		}
-		return linkCorpus(m, g, c, *top)
-	}
-
-	g, err := loadGraph(*graphPath)
+	lm, err := src.load(nil)
 	if err != nil {
 		return err
 	}
-	d, err := dblpHandles(g)
-	if err != nil {
+	if err := lm.m.SetFuzzyDistance(*fuzzy); err != nil {
 		return err
 	}
-	c, err := loadCorpus(g, d, *docsPath)
-	if err != nil {
-		return err
-	}
-
-	var m *shine.Model
-	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
+	if *precomputeOn {
+		if err := precompute(lm.m); err != nil {
 			return err
 		}
-		defer f.Close()
-		if m, err = shine.Load(f, g, c); err != nil {
-			return fmt.Errorf("loading model: %w", err)
-		}
-		fmt.Printf("loaded trained model from %s\n", *modelPath)
-	} else {
-		cfg := shine.DefaultConfig()
-		cfg.Theta = *theta
-		if *uniformPop {
-			cfg.Popularity = shine.PopularityUniform
-		}
-		if *popularity != "" {
-			cfg.Centrality = *popularity
-		}
-		if *workers > 0 {
-			cfg.Workers = *workers
-		}
-		if m, err = shine.New(g, d.Author, metapath.DBLPPaperPaths(d), c, cfg); err != nil {
-			return err
-		}
-		if !*noLearn {
-			stats, err := m.Learn(c)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("learned weights in %d EM iterations (%d gradient steps, %v/EM iter)\n",
-				stats.EMIterations, stats.GDIterations, stats.EMIterTime)
-			for i, p := range m.Paths() {
-				fmt.Printf("  w(%s) = %.4f\n", p, m.Weights()[i])
-			}
-		}
 	}
-
-	if err := m.SetFuzzyDistance(*fuzzy); err != nil {
-		return err
-	}
-	if *precompute {
-		start := time.Now()
-		if err := m.PrecomputeMixtures(); err != nil {
-			return fmt.Errorf("precomputing mixtures: %w", err)
-		}
-		fmt.Printf("precomputed %d entity mixtures in %v\n",
-			m.MixtureStats().Entries, time.Since(start).Round(time.Millisecond))
-	}
-
-	return linkCorpus(m, g, c, *top)
+	return linkCorpus(lm.m, lm.docs, *top)
 }
 
 // linkCorpus links every document and reports accuracy over the
-// labelled ones — shared by the from-scratch and from-snapshot paths
-// of `shine link`.
-func linkCorpus(m *shine.Model, g *hin.Graph, c *corpus.Corpus, top int) error {
+// labelled ones.
+func linkCorpus(m *shine.Model, c *corpus.Corpus, top int) error {
+	g := m.Graph()
 	correct, labelled := 0, 0
 	for _, doc := range c.Docs {
 		r, err := m.Link(doc)
@@ -584,128 +643,30 @@ func linkCorpus(m *shine.Model, g *hin.Graph, c *corpus.Corpus, top int) error {
 	return nil
 }
 
-// ----------------------------------------------------------------- train
-
-func cmdTrain(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	graphPath := fs.String("graph", "dataset.hin", "network file")
-	docsPath := fs.String("docs", "docs.json", "documents file (JSON lines of RawDoc)")
-	modelPath := fs.String("model", "model.json", "output path for the trained model")
-	snapPath := fs.String("snapshot", "", "also write the binary artifact servers boot and hot-swap from")
-	theta := fs.Float64("theta", 0.2, "smoothing parameter θ")
-	uniformPop := fs.Bool("uniform-pop", false, "use the uniform popularity model")
-	popularity := fs.String("popularity", "", "centrality backend for P(e): pagerank, degree, hits or ppr (default pagerank)")
-	workers := fs.Int("workers", 0, "offline-pipeline and training worker goroutines (0 = GOMAXPROCS)")
-	precompute := fs.Bool("precompute", false, "eagerly rebuild the frozen entity-mixture index after each weight install")
-	fs.Parse(args)
-
-	g, err := loadGraph(*graphPath)
-	if err != nil {
-		return err
-	}
-	d, err := dblpHandles(g)
-	if err != nil {
-		return err
-	}
-	c, err := loadCorpus(g, d, *docsPath)
-	if err != nil {
-		return err
-	}
-	cfg := shine.DefaultConfig()
-	cfg.Theta = *theta
-	if *uniformPop {
-		cfg.Popularity = shine.PopularityUniform
-	}
-	if *popularity != "" {
-		cfg.Centrality = *popularity
-	}
-	if *workers > 0 {
-		cfg.Workers = *workers
-	}
-	cfg.PrecomputeMixtures = *precompute
-	m, err := shine.New(g, d.Author, metapath.DBLPPaperPaths(d), c, cfg)
-	if err != nil {
-		return err
-	}
-	stats, err := m.Learn(c)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(*modelPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return fmt.Errorf("saving model: %w", err)
-	}
-	fmt.Printf("trained on %d documents in %d EM iterations (converged=%v); model saved to %s\n",
-		c.Len(), stats.EMIterations, stats.Converged, *modelPath)
-	if *snapPath != "" {
-		info, err := snapshot.WriteFile(*snapPath, m.Parts())
-		if err != nil {
-			return fmt.Errorf("writing snapshot: %w", err)
-		}
-		fmt.Printf("wrote %s to %s\n", info, *snapPath)
-	}
-	return nil
-}
-
 // -------------------------------------------------------------- annotate
 
 func cmdAnnotate(args []string) error {
 	fs := flag.NewFlagSet("annotate", flag.ExitOnError)
-	graphPath := fs.String("graph", "dataset.hin", "network file")
-	docsPath := fs.String("docs", "docs.json", "documents file (for the generic object model)")
-	modelPath := fs.String("model", "", "trained model file; omit to learn on the fly")
+	src := addModelFlags(fs, false)
 	inPath := fs.String("in", "", "text file to annotate (default: stdin)")
 	minPosterior := fs.Float64("min-posterior", 0, "suppress annotations below this confidence")
 	fs.Parse(args)
 
-	g, err := loadGraph(*graphPath)
+	lm, err := src.load(nil)
 	if err != nil {
 		return err
 	}
-	d, err := dblpHandles(g)
-	if err != nil {
-		return err
-	}
-	c, err := loadCorpus(g, d, *docsPath)
-	if err != nil {
-		return err
-	}
-
-	var m *shine.Model
-	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if m, err = shine.Load(f, g, c); err != nil {
-			return err
-		}
-	} else {
-		if m, err = shine.New(g, d.Author, metapath.DBLPPaperPaths(d), c, shine.DefaultConfig()); err != nil {
-			return err
-		}
-		if _, err := m.Learn(c); err != nil {
-			return err
-		}
-	}
-
 	var text []byte
 	if *inPath != "" {
-		if text, err = os.ReadFile(*inPath); err != nil {
-			return err
-		}
+		text, err = os.ReadFile(*inPath)
 	} else {
-		if text, err = io.ReadAll(os.Stdin); err != nil {
-			return err
-		}
+		text, err = io.ReadAll(os.Stdin)
+	}
+	if err != nil {
+		return err
 	}
 
-	a, err := annotate.New(m, corpus.DBLPIngestConfig(d), annotate.Options{MinPosterior: *minPosterior})
+	a, err := annotate.New(lm.m, corpus.DBLPIngestConfig(lm.schema), annotate.Options{MinPosterior: *minPosterior})
 	if err != nil {
 		return err
 	}
@@ -730,107 +691,38 @@ func cmdAnnotate(args []string) error {
 
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	graphPath := fs.String("graph", "dataset.hin", "network file")
-	docsPath := fs.String("docs", "docs.json", "documents file (for the generic object model)")
-	modelPath := fs.String("model", "", "trained model file; omit to learn on startup")
-	snapPath := fs.String("snapshot", "", "binary artifact to boot from and hot-swap on SIGHUP or POST /v1/admin/reload")
+	src := addModelFlags(fs, false)
 	addr := fs.String("addr", ":8080", "listen address")
 	nilPrior := fs.Float64("nil-prior", 0, "enable NIL detection on /v1/link with this prior")
-	popularity := fs.String("popularity", "", "centrality backend for P(e) when learning on startup: pagerank, degree, hits or ppr (default pagerank; with -snapshot, asserts the artifact's backend)")
 	metricsOn := fs.Bool("metrics", true, "expose Prometheus metrics at GET /metrics")
 	pprofOn := fs.Bool("pprof", false, "mount profiling handlers under /debug/pprof/")
 	drain := fs.Duration("drain", 10*time.Second, "connection drain deadline on SIGINT/SIGTERM")
-	workers := fs.Int("workers", 0, "startup offline-pipeline and training worker goroutines (0 = GOMAXPROCS)")
-	precompute := fs.Bool("precompute", false, "build the frozen entity-mixture index before accepting traffic")
+	precomputeOn := fs.Bool("precompute", false, "build the frozen entity-mixture index before accepting traffic")
 	timeout := fs.Duration("timeout", 0, "per-request deadline for model-serving endpoints (0 = none)")
 	maxInFlight := fs.Int("max-inflight", 0, "cap on concurrently executing model-serving requests; excess is queued then shed with 429 (0 = unlimited)")
 	maxQueued := fs.Int("max-queue", 0, "admission wait-queue depth when -max-inflight is set (0 = same as -max-inflight, negative = no queue)")
 	fuzzy := fs.Int("fuzzy", 0, "fall back to edit-distance-N candidate retrieval when the exact rules find none (0 = off, max 2)")
 	fs.Parse(args)
 
-	// One registry for the whole process, wired before learning so a
-	// startup EM run's iteration metrics are visible on /metrics.
+	// One registry for the whole process, wired before loading so the
+	// load time and a startup EM run's metrics are visible on /metrics.
 	reg := obs.NewRegistry()
-	var m *shine.Model
-	var snapInfo *snapshot.Info
-	var g *hin.Graph
-	if *snapPath != "" {
-		// Snapshot boot: the artifact carries graph, weights, config
-		// and the frozen mixture index — no -graph/-docs load, no EM.
-		loadStart := time.Now()
-		snap, err := snapshot.ReadFile(*snapPath)
-		if err != nil {
-			return err
-		}
-		if err := checkSnapshotCentrality(snap.Info(), *popularity); err != nil {
-			return err
-		}
-		if m, err = snap.Model(); err != nil {
-			return err
-		}
-		info := snap.Info()
-		snapInfo = &info
-		g = m.Graph()
-		reg.Gauge(server.MetricSnapshotLoadSeconds).Set(time.Since(loadStart).Seconds())
-		fmt.Printf("loaded %s in %v\n", info, time.Since(loadStart).Round(time.Millisecond))
-	} else {
-		buildStart := time.Now()
-		var err error
-		if g, err = loadGraph(*graphPath); err != nil {
-			return err
-		}
-		reg.Gauge(shine.MetricGraphBuildSeconds).Set(time.Since(buildStart).Seconds())
-		d, err := dblpHandles(g)
-		if err != nil {
-			return err
-		}
-		c, err := loadCorpus(g, d, *docsPath)
-		if err != nil {
-			return err
-		}
-		if *modelPath != "" {
-			f, err := os.Open(*modelPath)
-			if err != nil {
-				return err
-			}
-			m, err = shine.Load(f, g, c)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		} else {
-			cfg := shine.DefaultConfig()
-			if *popularity != "" {
-				cfg.Centrality = *popularity
-			}
-			if *workers > 0 {
-				cfg.Workers = *workers
-			}
-			if m, err = shine.New(g, d.Author, metapath.DBLPPaperPaths(d), c, cfg); err != nil {
-				return err
-			}
-			m.SetMetrics(reg)
-			if _, err := m.Learn(c); err != nil {
-				return err
-			}
-		}
-	}
-	d, err := dblpHandles(g)
+	lm, err := src.load(reg)
 	if err != nil {
 		return err
 	}
-	srv, err := server.New(m, corpus.DBLPIngestConfig(d), server.Options{
+	srv, err := server.New(lm.m, corpus.DBLPIngestConfig(lm.schema), server.Options{
 		NILPrior:          *nilPrior,
 		Metrics:           reg,
 		NoMetricsEndpoint: !*metricsOn,
 		Pprof:             *pprofOn,
-		Precompute:        *precompute,
+		Precompute:        *precomputeOn,
 		FuzzyDistance:     *fuzzy,
 		RequestTimeout:    *timeout,
 		MaxInFlight:       *maxInFlight,
 		MaxQueued:         *maxQueued,
-		SnapshotPath:      *snapPath,
-		SnapshotInfo:      snapInfo,
+		SnapshotPath:      src.snapshot,
+		SnapshotInfo:      lm.info,
 	})
 	if err != nil {
 		return err
@@ -847,7 +739,7 @@ func cmdServe(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *snapPath != "" {
+	if src.snapshot != "" {
 		// SIGHUP hot-swaps the serving model from the artifact — the
 		// same path POST /v1/admin/reload takes, so a deploy can use
 		// either `kill -HUP` or the admin endpoint.
@@ -867,7 +759,7 @@ func cmdServe(args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("serving %d objects on %s (metrics=%v pprof=%v)\n",
-		g.NumObjects(), *addr, *metricsOn, *pprofOn)
+		lm.m.Graph().NumObjects(), *addr, *metricsOn, *pprofOn)
 
 	select {
 	case err := <-errc:
@@ -888,20 +780,6 @@ func cmdServe(args []string) error {
 
 // -------------------------------------------------------------- snapshot
 
-// checkSnapshotCentrality asserts that a booted artifact's recorded
-// popularity backend matches an explicit -popularity flag. The
-// snapshot's config already enforces consistency internally (FromParts
-// refuses mixed backends); this check catches the operator error of
-// pointing a -popularity override at an artifact built differently,
-// where the flag would otherwise be silently ignored.
-func checkSnapshotCentrality(info snapshot.Info, popularity string) error {
-	if popularity != "" && popularity != info.Centrality {
-		return fmt.Errorf("snapshot was built with centrality backend %q, but -popularity requests %q; rebuild the artifact with `shine snapshot build -popularity %s`",
-			info.Centrality, popularity, popularity)
-	}
-	return nil
-}
-
 func cmdSnapshot(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: shine snapshot build|inspect [flags]")
@@ -918,62 +796,29 @@ func cmdSnapshot(args []string) error {
 
 func cmdSnapshotBuild(args []string) error {
 	fs := flag.NewFlagSet("snapshot build", flag.ExitOnError)
-	graphPath := fs.String("graph", "dataset.hin", "network file")
-	docsPath := fs.String("docs", "docs.json", "documents file (JSON lines of RawDoc)")
-	modelPath := fs.String("model", "", "trained model file (from `shine train`); omit to learn here")
+	src := addTrainFlags(fs)
 	outPath := fs.String("out", "model.snap", "output path for the artifact")
-	popularity := fs.String("popularity", "", "centrality backend for P(e) when learning here: pagerank, degree, hits or ppr (default pagerank)")
-	workers := fs.Int("workers", 0, "offline-pipeline and training worker goroutines (0 = GOMAXPROCS)")
-	precompute := fs.Bool("precompute", true, "bake the frozen entity-mixture index into the artifact so replicas boot warm")
+	theta := fs.Float64("theta", 0.2, "smoothing parameter θ")
+	uniformPop := fs.Bool("uniform-pop", false, "use the uniform popularity model")
+	noLearn := fs.Bool("no-learn", false, "skip EM learning; use uniform meta-path weights")
+	precomputeOn := fs.Bool("precompute", true, "bake the frozen entity-mixture index into the artifact so replicas boot warm")
 	fs.Parse(args)
 
-	g, err := loadGraph(*graphPath)
+	cfg := src.config()
+	cfg.Theta = *theta
+	if *uniformPop {
+		cfg.Popularity = shine.PopularityUniform
+	}
+	lm, err := src.train(nil, cfg, !*noLearn)
 	if err != nil {
 		return err
 	}
-	d, err := dblpHandles(g)
-	if err != nil {
-		return err
-	}
-	c, err := loadCorpus(g, d, *docsPath)
-	if err != nil {
-		return err
-	}
-	var m *shine.Model
-	if *modelPath != "" {
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			return err
-		}
-		m, err = shine.Load(f, g, c)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		cfg := shine.DefaultConfig()
-		if *popularity != "" {
-			cfg.Centrality = *popularity
-		}
-		if *workers > 0 {
-			cfg.Workers = *workers
-		}
-		if m, err = shine.New(g, d.Author, metapath.DBLPPaperPaths(d), c, cfg); err != nil {
-			return err
-		}
-		if _, err := m.Learn(c); err != nil {
+	if *precomputeOn {
+		if err := precompute(lm.m); err != nil {
 			return err
 		}
 	}
-	if *precompute {
-		start := time.Now()
-		if err := m.PrecomputeMixtures(); err != nil {
-			return fmt.Errorf("precomputing mixtures: %w", err)
-		}
-		fmt.Printf("precomputed %d entity mixtures in %v\n",
-			m.MixtureStats().Entries, time.Since(start).Round(time.Millisecond))
-	}
-	info, err := snapshot.WriteFile(*outPath, m.Parts())
+	info, err := snapshot.WriteFile(*outPath, lm.m.Parts())
 	if err != nil {
 		return err
 	}

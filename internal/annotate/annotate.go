@@ -12,6 +12,7 @@ package annotate
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 
 	"shine/internal/corpus"
@@ -62,7 +63,8 @@ type Options struct {
 // configuration of its network's schema. The mention dictionary is
 // built from the names of all entity-type objects.
 func New(m *shine.Model, cfg corpus.IngestConfig, opts Options) (*Annotator, error) {
-	if opts.MinPosterior < 0 || opts.MinPosterior >= 1 {
+	// NaN fails both range tests, so it needs its own.
+	if math.IsNaN(opts.MinPosterior) || opts.MinPosterior < 0 || opts.MinPosterior >= 1 {
 		return nil, fmt.Errorf("annotate: MinPosterior %v outside [0, 1)", opts.MinPosterior)
 	}
 	ing, err := corpus.NewIngester(m.Graph(), cfg)

@@ -2,6 +2,7 @@ package annotate
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -170,5 +171,8 @@ func TestNewAnnotatorValidation(t *testing.T) {
 	}
 	if _, err := New(m, corpus.DBLPIngestConfig(d), Options{MinPosterior: -0.1}); err == nil {
 		t.Error("negative MinPosterior accepted")
+	}
+	if _, err := New(m, corpus.DBLPIngestConfig(d), Options{MinPosterior: math.NaN()}); err == nil {
+		t.Error("NaN MinPosterior accepted")
 	}
 }

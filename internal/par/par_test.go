@@ -11,14 +11,14 @@ func TestClampWorkers(t *testing.T) {
 	cases := []struct {
 		workers, n, min, max int
 	}{
-		{0, 10, 1, 10},   // GOMAXPROCS, bounded by n
-		{-3, 5, 1, 5},    // negative → GOMAXPROCS, bounded by n
-		{4, 2, 2, 2},     // more workers than items
-		{4, 100, 4, 4},   // plenty of items
-		{1, 0, 1, 1},     // no items still yields 1
-		{8, 1000, 8, 8},  // exact
-		{3, 3, 3, 3},     // equal
-		{100, 7, 7, 7},   // clamp down
+		{0, 10, 1, 10},     // GOMAXPROCS, bounded by n
+		{-3, 5, 1, 5},      // negative → GOMAXPROCS, bounded by n
+		{4, 2, 2, 2},       // more workers than items
+		{4, 100, 4, 4},     // plenty of items
+		{1, 0, 1, 1},       // no items still yields 1
+		{8, 1000, 8, 8},    // exact
+		{3, 3, 3, 3},       // equal
+		{100, 7, 7, 7},     // clamp down
 		{2, 1 << 30, 2, 2}, // huge n
 	}
 	for _, c := range cases {

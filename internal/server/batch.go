@@ -326,4 +326,3 @@ func (s *Server) parseBatchDoc(sv *serving, reqID string, seq int, line []byte, 
 	doc := sv.ingester.Ingest(fmt.Sprintf("%s-%d", reqID, seq), req.Mention, hin.NoObject, req.Text)
 	return doc, lineMeta{id: req.ID}
 }
-

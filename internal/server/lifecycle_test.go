@@ -220,9 +220,9 @@ func TestEntityIDParsing(t *testing.T) {
 		want int
 	}{
 		{"", http.StatusBadRequest},
-		{"12abc", http.StatusBadRequest},         // Sscanf used to accept this as 12
+		{"12abc", http.StatusBadRequest},                // Sscanf used to accept this as 12
 		{"99999999999999999999", http.StatusBadRequest}, // overflows int32
-		{"4294967297", http.StatusBadRequest},    // wraps to 1 under a naive cast
+		{"4294967297", http.StatusBadRequest},           // wraps to 1 under a naive cast
 		{"-1", http.StatusNotFound},
 		{"1000000", http.StatusNotFound},
 	}

@@ -84,10 +84,10 @@ type Server struct {
 	// Rebuild inputs Reload needs to derive a fresh generation from a
 	// new model: the ingestion config and the Options that shaped the
 	// original bundle.
-	ingestCfg    corpus.IngestConfig
+	ingestCfg     corpus.IngestConfig
 	entityTypeOpt hin.TypeID
-	minPosterior float64
-	precompute   bool
+	minPosterior  float64
+	precompute    bool
 	// fuzzyDistance is the serving-path fuzzy fallback distance; it is
 	// reapplied to every hot-swapped model so -fuzzy survives reloads.
 	fuzzyDistance int

@@ -57,7 +57,7 @@ type Config struct {
 	// the raw importance scores under PopularityPageRank mode —
 	// "pagerank" (the paper's Formula 6), "degree", "hits", or "ppr"
 	// (type-personalized PageRank). Empty selects "pagerank", which
-	// also keeps models and snapshots saved before the field existed
+	// also keeps snapshots written before the field existed
 	// loading unchanged. Ignored under PopularityUniform.
 	Centrality string
 	// PageRank configures the popularity computation (λ = 0.2 in the
@@ -98,8 +98,8 @@ type Config struct {
 	// partials in a fixed order, so the learned weights and PageRank
 	// scores are bit-for-bit identical for every Workers value.
 	// DefaultConfig sets GOMAXPROCS. Workers is an execution knob,
-	// not learned state: it is excluded from saved models, and a
-	// loaded model runs with the host's GOMAXPROCS.
+	// not learned state: it is excluded from snapshot artifacts, and a
+	// restored model runs with the host's GOMAXPROCS.
 	Workers int `json:"-"`
 
 	// FuzzyDistance, when positive, enables the serving-path fuzzy
@@ -108,18 +108,9 @@ type Config struct {
 	// (capped at surftrie.MaxDistance), so noisy OCR-style mentions
 	// still reach their candidate block. Training is unaffected —
 	// prepareCorpus always uses the strict rules. Like Workers it is
-	// an execution knob, excluded from saved models; the -fuzzy CLI
-	// flag sets it.
+	// an execution knob, excluded from snapshot artifacts; the -fuzzy
+	// CLI flag sets it.
 	FuzzyDistance int `json:"-"`
-
-	// PrecomputeMixtures, when true, eagerly rebuilds the frozen
-	// entity-mixture serving index after every weight install
-	// (Learn/SetWeights) instead of letting Link fill it lazily — the
-	// first request after training then pays no meta-path walk latency.
-	// Like Workers it is an execution knob, excluded from saved models;
-	// the -precompute CLI flag sets it (and triggers one build at
-	// startup for loaded models).
-	PrecomputeMixtures bool `json:"-"`
 
 	// WalkCacheSize bounds the meta-path walk cache.
 	WalkCacheSize int

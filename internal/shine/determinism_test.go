@@ -1,7 +1,6 @@
 package shine
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -55,16 +54,13 @@ func sameBits(a, b float64) bool {
 // TestLearnDeterministicAcrossWorkers is the golden determinism test:
 // training serially (Workers=1) and with parallel fan-out (4, 8
 // workers) must produce bit-identical objectives per EM iteration,
-// bit-identical weight traces, byte-identical saved models, and
-// identical link decisions.
+// bit-identical weight traces and identical link decisions. The
+// byte-identical artifact across worker counts is checked by the
+// snapshot package's TestBuildDeterministic.
 func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 	ds := determinismDataset(t)
 	base, baseStats := trainWithWorkers(t, ds, 1)
 
-	var baseSaved bytes.Buffer
-	if err := base.Save(&baseSaved); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
 	baseResults, _, err := base.LinkAllParallel(ds.Corpus, 1)
 	if err != nil {
 		t.Fatalf("LinkAllParallel: %v", err)
@@ -100,15 +96,6 @@ func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 			if !sameBits(w[k], bw[k]) {
 				t.Errorf("workers=%d: final weight[%d] %v != serial %v", workers, k, w[k], bw[k])
 			}
-		}
-
-		var saved bytes.Buffer
-		if err := m.Save(&saved); err != nil {
-			t.Fatalf("Save(workers=%d): %v", workers, err)
-		}
-		if !bytes.Equal(saved.Bytes(), baseSaved.Bytes()) {
-			t.Errorf("workers=%d: saved model differs from serial model byte-for-byte:\n%s\nvs serial:\n%s",
-				workers, saved.String(), baseSaved.String())
 		}
 
 		results, _, err := m.LinkAllParallel(ds.Corpus, workers)

@@ -172,25 +172,6 @@ func TestPrecomputeMixtures(t *testing.T) {
 	}
 }
 
-// TestEagerRebuildOnInstall: Config.PrecomputeMixtures makes every
-// weight install rebuild the serving index without any Link traffic.
-func TestEagerRebuildOnInstall(t *testing.T) {
-	f := newFixture(t)
-	m := newModel(t, f, func(c *Config) { c.PrecomputeMixtures = true })
-	n := len(m.Paths())
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = float64(i + 1)
-	}
-	if err := m.SetWeights(w); err != nil {
-		t.Fatal(err)
-	}
-	st := m.MixtureStats()
-	if want := len(f.g.ObjectsOfType(f.d.Author)); st.Entries != want {
-		t.Errorf("eager install left %d mixtures, want %d", st.Entries, want)
-	}
-}
-
 // TestCandidatesCallerOwned: mutating a returned candidate slice must
 // not corrupt later lookups (slice-ownership audit).
 func TestCandidatesCallerOwned(t *testing.T) {

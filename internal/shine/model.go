@@ -71,10 +71,10 @@ type Model struct {
 	// trie in trie, but replaceable via SetCandidateSource. trie keeps
 	// the concrete pointer for snapshotting and is nil when a custom
 	// source is installed.
-	cands  CandidateSource
-	trie   *surftrie.Trie
-	walker *metapath.Walker
-	generic      *corpus.GenericModel
+	cands   CandidateSource
+	trie    *surftrie.Trie
+	walker  *metapath.Walker
+	generic *corpus.GenericModel
 	// metrics, when non-nil, instruments link and EM hot paths; see
 	// SetMetrics.
 	metrics *modelMetrics
@@ -209,12 +209,6 @@ func (m *Model) installWeights(w []float64) {
 	ver := m.wver
 	m.wmu.Unlock()
 	m.mixtures.invalidate(ver)
-	if m.cfg.PrecomputeMixtures {
-		// Eager mode: rebuild the serving index now so the first
-		// request after a weight install pays no walk latency. Errors
-		// here are walk failures a later lazy build would hit too.
-		m.PrecomputeMixtures()
-	}
 }
 
 // SetWeights imposes a weight vector. Weights must be non-negative

@@ -13,16 +13,15 @@ import (
 // entity of the model's entity type under the current weights, fanning
 // out across Config.Workers goroutines. After it returns, Link serves
 // every candidate from a frozen array and never walks meta-paths on
-// the request path — the -precompute flag on `shine train`/`shine
-// serve` calls this at startup, and models configured with
-// Config.PrecomputeMixtures re-run it after every weight install.
+// the request path — the -precompute flag on `shine link`, `shine
+// serve` and `shine snapshot build` calls this before linking.
 //
 // Safe to call concurrently with Link (readers fall back to lazy
 // builds for entities not yet stored). If a weight install lands while
 // precompute is running, the stale entries are discarded by the
-// version check and the call reports no error; the install itself
-// re-triggers precompute in eager mode. Returns the first walk error
-// encountered, if any.
+// version check and the call reports no error; the entities it
+// dropped refill lazily. Returns the first walk error encountered, if
+// any.
 func (m *Model) PrecomputeMixtures() error {
 	entities := m.graph.ObjectsOfType(m.entityType)
 	if len(entities) == 0 {

@@ -44,8 +44,8 @@ type UpdateStats struct {
 	// MixturesKept/Dropped and WalkEntriesKept/Dropped count the
 	// frozen-mixture and walk-cache entries that survived per-entity
 	// invalidation versus the ones inside the ball.
-	MixturesKept    int
-	MixturesDropped int
+	MixturesKept       int
+	MixturesDropped    int
 	WalkEntriesKept    int
 	WalkEntriesDropped int
 	// TrieRebuilt records whether the surface-form index had to be

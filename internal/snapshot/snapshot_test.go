@@ -16,6 +16,7 @@ import (
 	"shine/internal/metapath"
 	"shine/internal/shine"
 	"shine/internal/snapshot"
+	"shine/internal/synth"
 )
 
 // fixture builds a miniature DBLP network, a small corpus over it and
@@ -144,36 +145,68 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministic: two independent builds of the same input —
-// New, Learn, PrecomputeMixtures, Encode — write byte-identical
-// artifacts. TestEncodeDeterministic encodes one model twice, so it
-// cannot see state that differs between builds, such as a wall time.
+// TestBuildDeterministic: independent builds of one input — New,
+// Learn, PrecomputeMixtures, Encode — at 1, 4 and 8 workers write
+// byte-identical artifacts, so the worker count is invisible in every
+// section: weights, popularity, the generic model and the mixtures.
+// TestEncodeDeterministic encodes one model twice, so it cannot see
+// state that differs between builds, such as a wall time. The synth
+// case is the 150-author dataset of the shine package's
+// TestLearnDeterministicAcrossWorkers, large enough that the blocked
+// reductions span many blocks.
 func TestBuildDeterministic(t *testing.T) {
 	f := newFixture(t)
-	parts := f.model.Parts()
-	build := func() []byte {
-		cfg := shine.DefaultConfig()
-		cfg.WalkCacheSize = 64
-		m, err := shine.New(f.graph, parts.EntityType, parts.Paths, f.docs, cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		if _, err := m.Learn(f.docs); err != nil {
-			t.Fatalf("Learn: %v", err)
-		}
-		if err := m.PrecomputeMixtures(); err != nil {
-			t.Fatalf("PrecomputeMixtures: %v", err)
-		}
-		data, err := snapshot.Encode(m.Parts())
-		if err != nil {
-			t.Fatalf("Encode: %v", err)
-		}
-		return data
+	fp := f.model.Parts()
+	net := synth.DefaultDBLPConfig()
+	net.RegularAuthors = 150
+	net.AmbiguousGroups = 4
+	net.Topics = 4
+	doc := synth.DefaultDocConfig()
+	doc.NumDocs = 40
+	ds, err := synth.BuildDataset(net, doc)
+	if err != nil {
+		t.Fatalf("BuildDataset: %v", err)
 	}
-	a, b := build(), build()
-	if !bytes.Equal(a, b) {
-		t.Errorf("two builds of one input differ: %d bytes (crc %08x) vs %d bytes (crc %08x)",
-			len(a), crc32.ChecksumIEEE(a), len(b), crc32.ChecksumIEEE(b))
+	d := ds.Data.Schema
+	cases := []struct {
+		name       string
+		graph      *hin.Graph
+		entityType hin.TypeID
+		paths      []metapath.Path
+		docs       *corpus.Corpus
+	}{
+		{"fixture", f.graph, fp.EntityType, fp.Paths, f.docs},
+		{"synth", ds.Data.Graph, d.Author, metapath.DBLPPaperPaths(d), ds.Corpus},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(workers int) []byte {
+				cfg := shine.DefaultConfig()
+				cfg.Workers = workers
+				m, err := shine.New(tc.graph, tc.entityType, tc.paths, tc.docs, cfg)
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				if _, err := m.Learn(tc.docs); err != nil {
+					t.Fatalf("Learn: %v", err)
+				}
+				if err := m.PrecomputeMixtures(); err != nil {
+					t.Fatalf("PrecomputeMixtures: %v", err)
+				}
+				data, err := snapshot.Encode(m.Parts())
+				if err != nil {
+					t.Fatalf("Encode: %v", err)
+				}
+				return data
+			}
+			serial := build(1)
+			for _, workers := range []int{4, 8} {
+				if got := build(workers); !bytes.Equal(got, serial) {
+					t.Errorf("workers=%d: %d bytes (crc %08x), serial build %d bytes (crc %08x)",
+						workers, len(got), crc32.ChecksumIEEE(got), len(serial), crc32.ChecksumIEEE(serial))
+				}
+			}
+		})
 	}
 }
 

@@ -88,7 +88,7 @@ func encodeParts(p shine.Parts) ([]byte, error) {
 	}
 	add(secMeta, metaJSON)
 
-	// Section 2: config JSON (Workers and PrecomputeMixtures carry
+	// Section 2: config JSON (Workers and FuzzyDistance carry
 	// json:"-", so artifacts stay host-independent).
 	cfgJSON, err := json.Marshal(p.Config)
 	if err != nil {

@@ -4,6 +4,8 @@
 # mean something under -race.
 set -eux
 cd "$(dirname "$0")"
+# Every Go file must be gofmt-clean; the list of offenders must be empty.
+test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
 go test -race ./...
@@ -35,9 +37,10 @@ go test -fuzz=FuzzTrieLookup -fuzztime=5s -run=FuzzTrieLookup ./internal/surftri
 go test -fuzz=FuzzNDJSONLine -fuzztime=5s -run=FuzzNDJSONLine ./internal/server/
 go test -fuzz=FuzzDeltaPatch -fuzztime=5s -run=FuzzDeltaPatch ./internal/server/
 # Snapshot CLI round trip: build an artifact from a generated dataset,
-# inspect it, and link from it — the binary boot path end to end. Runs
-# once per popularity backend: inspect must report the backend that
-# built the artifact, and link must serve from it.
+# inspect it, link from it and annotate from it — the binary boot path
+# end to end. Runs once per popularity backend: inspect must report the
+# backend that built the artifact, link must serve from it, and
+# annotate must find and link mentions in raw text with it.
 SNAPTMP=$(mktemp -d)
 trap 'rm -rf "$SNAPTMP"' EXIT
 go build -o "$SNAPTMP/shine" ./cmd/shine
@@ -48,6 +51,9 @@ for BACKEND in pagerank degree hits ppr; do
   "$SNAPTMP/shine" snapshot inspect "$SNAPTMP/m-$BACKEND.snap" | grep "centrality=$BACKEND"
   "$SNAPTMP/shine" link -snapshot "$SNAPTMP/m-$BACKEND.snap" -popularity "$BACKEND" \
     -docs "$SNAPTMP/d.json" | tail -1
+  head -3 "$SNAPTMP/d.json" |
+    "$SNAPTMP/shine" annotate -snapshot "$SNAPTMP/m-$BACKEND.snap" -popularity "$BACKEND" |
+    grep '^\['
 done
 # A backend mismatch between artifact and flags must refuse to serve.
 if "$SNAPTMP/shine" link -snapshot "$SNAPTMP/m-degree.snap" -popularity hits -docs "$SNAPTMP/d.json"; then
