@@ -555,9 +555,10 @@ func annotatePages(e *experiments.Env) []string {
 
 // BenchmarkAnnotate measures annotating 8-document pages on a trained
 // model with precomputed mixtures, as /v1/annotate serves them: the
-// whole call (page), then its stages — spotting the mentions, preparing
-// the page once, cutting each mention's document from it, and linking
-// the cut documents through LinkStream. Costs are per page.
+// whole call (page), then its stages — tokenizing the page once,
+// spotting the mentions and preparing the page from those tokens,
+// cutting one document per distinct surface, and linking the cut
+// documents through LinkStream. Costs are per page.
 func BenchmarkAnnotate(b *testing.B) {
 	e := benchEnv(b)
 	m, err := shine.New(e.DS.Data.Graph, e.DS.Data.Schema.Author, e.Paths10,
@@ -584,17 +585,23 @@ func BenchmarkAnnotate(b *testing.B) {
 		dict.Add(corpus.CanonicalSurface(g.Name(ent)), struct{}{})
 	}
 	pages := annotatePages(e)
+	tokens := make([][]textproc.Token, len(pages))
 	prepared := make([]*corpus.Prepared, len(pages))
-	docs := make([][]*corpus.Document, len(pages))
-	mentions := 0
+	docs := make([][]*corpus.Document, len(pages)) // one per distinct surface
+	mentions, links := 0, 0
 	for i, text := range pages {
-		prepared[i] = ing.Prepare(text)
-		toks := textproc.Tokenize(text)
-		for _, mt := range dict.FindAll(toks) {
-			surface := text[toks[mt.TokenStart].Start:toks[mt.TokenEnd-1].End]
-			docs[i] = append(docs[i], prepared[i].Document("bench", surface, hin.NoObject))
+		tokens[i] = textproc.Tokenize(text)
+		prepared[i] = ing.PrepareTokens(tokens[i])
+		seen := make(map[string]bool)
+		for _, mt := range dict.FindAll(tokens[i]) {
+			surface := text[tokens[i][mt.TokenStart].Start:tokens[i][mt.TokenEnd-1].End]
+			mentions++
+			if !seen[surface] {
+				seen[surface] = true
+				docs[i] = append(docs[i], prepared[i].Document("bench", surface, hin.NoObject))
+			}
 		}
-		mentions += len(docs[i])
+		links += len(docs[i])
 	}
 
 	b.Run("page", func(b *testing.B) {
@@ -605,17 +612,24 @@ func BenchmarkAnnotate(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(mentions)/float64(len(pages)), "mentions/page")
+		b.ReportMetric(float64(links)/float64(len(pages)), "links/page")
+	})
+	b.Run("tokenize", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			textproc.Tokenize(pages[i%len(pages)])
+		}
 	})
 	b.Run("spot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dict.FindAll(textproc.Tokenize(pages[i%len(pages)]))
+			dict.FindAll(tokens[i%len(pages)])
 		}
 	})
 	b.Run("prepare", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ing.Prepare(pages[i%len(pages)])
+			ing.PrepareTokens(tokens[i%len(pages)])
 		}
 	})
 	b.Run("cut", func(b *testing.B) {

@@ -88,12 +88,15 @@ func (a *Annotator) Annotate(id, text string) ([]Annotation, error) {
 }
 
 // AnnotateContext is Annotate under a request context. The text is
-// prepared once (corpus.Ingester.Prepare); each detected mention's
-// document is cut from it and the mentions are linked through
-// Model.LinkStream, so they share one ingestion and link in parallel.
-// Cancellation is checked as each linked mention leaves the stream and
+// tokenised once: the mentions are spotted on the tokens and the page
+// is prepared from them (corpus.Ingester.PrepareTokens). Every
+// occurrence of one surface, as written, has the same cut document and
+// the same candidates, so the same link; each distinct surface is cut
+// and linked once, in order of first occurrence, through
+// Model.LinkStream, and its result is fanned back to every occurrence.
+// Cancellation is checked as each linked surface leaves the stream and
 // inside each link (see Model.LinkContext): a canceled request, or the
-// first mention that fails to link, cancels the stream and returns
+// first surface that fails to link, cancels the stream and returns
 // that error with no annotations.
 func (a *Annotator) AnnotateContext(ctx context.Context, id, text string) ([]Annotation, error) {
 	tokens := textproc.Tokenize(text)
@@ -104,23 +107,44 @@ func (a *Annotator) AnnotateContext(ctx context.Context, id, text string) ([]Ann
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	page := a.ing.Prepare(text)
+	page := a.ing.PrepareTokens(tokens)
+	// surfaces holds each distinct surface as written, punctuation
+	// included, in order of first occurrence; surfaceOf[mi] indexes
+	// match mi's. Surfaces are not normalised before grouping: two
+	// spellings of one name may resolve to different candidates.
+	span := func(mi int) (int, int) {
+		return tokens[matches[mi].TokenStart].Start, tokens[matches[mi].TokenEnd-1].End
+	}
+	var surfaces []string
+	surfaceOf := make([]int, len(matches))
+	index := make(map[string]int)
+	for mi := range matches {
+		start, end := span(mi)
+		surface := text[start:end]
+		si, ok := index[surface]
+		if !ok {
+			si = len(surfaces)
+			index[surface] = si
+			surfaces = append(surfaces, surface)
+		}
+		surfaceOf[mi] = si
+	}
+
 	streamCtx, cancel := context.WithCancel(ctx)
 	// Documents are cut as the stream takes them, so the live bags
-	// are bounded by the stream's window, not by the mention count.
+	// are bounded by the stream's window, not by the surface count.
 	docs := make(chan *corpus.Document)
 	go func() {
 		defer close(docs)
-		for mi, match := range matches {
-			surface := text[tokens[match.TokenStart].Start:tokens[match.TokenEnd-1].End] // as written, punctuation included
+		for si, surface := range surfaces {
 			select {
-			case docs <- page.Document(fmt.Sprintf("%s#%d", id, mi), surface, hin.NoObject):
+			case docs <- page.Document(fmt.Sprintf("%s#%d", id, si), surface, hin.NoObject):
 			case <-streamCtx.Done():
 				return
 			}
 		}
 	}()
-	results := a.model.LinkStream(streamCtx, docs, min(len(matches), runtime.GOMAXPROCS(0)))
+	results := a.model.LinkStream(streamCtx, docs, min(len(surfaces), runtime.GOMAXPROCS(0)))
 	defer func() {
 		// Cancel and drain the stream, so no link outlives the call.
 		cancel()
@@ -128,7 +152,8 @@ func (a *Annotator) AnnotateContext(ctx context.Context, id, text string) ([]Ann
 		}
 	}()
 	g := a.model.Graph()
-	var out []Annotation
+	// linked[si] is surface si's annotation, less its span.
+	linked := make([]Annotation, len(surfaces))
 	for sr := range results {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -138,25 +163,27 @@ func (a *Annotator) AnnotateContext(ctx context.Context, id, text string) ([]Ann
 			// always exist; any error is a real failure.
 			return nil, fmt.Errorf("annotate: linking %q: %w", sr.Doc.Mention, sr.Err)
 		}
-		best := sr.Result.Candidates[0]
-		if best.Posterior < a.minPosterior {
-			continue
-		}
-		match := matches[sr.Seq]
-		out = append(out, Annotation{
-			Start:      tokens[match.TokenStart].Start,
-			End:        tokens[match.TokenEnd-1].End,
+		linked[sr.Seq] = Annotation{
 			Surface:    sr.Doc.Mention,
 			Entity:     sr.Result.Entity,
 			EntityName: g.Name(sr.Result.Entity),
-			Posterior:  best.Posterior,
+			Posterior:  sr.Result.Candidates[0].Posterior,
 			Candidates: len(sr.Result.Candidates),
-		})
+		}
 	}
 	// A canceled request closes the stream early without an error
 	// result; only a complete stream yields annotations.
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	var out []Annotation
+	for mi := range matches {
+		an := linked[surfaceOf[mi]]
+		if an.Posterior < a.minPosterior {
+			continue
+		}
+		an.Start, an.End = span(mi)
+		out = append(out, an)
 	}
 	return out, nil
 }

@@ -12,9 +12,24 @@ import (
 	"shine/internal/shine"
 )
 
+// crowdSize is how many distinctly named authors the fixture adds, so
+// a page can hold that many distinct surfaces: enough that a stream
+// window (2×GOMAXPROCS documents) covers only a fraction of them.
+const crowdSize = 2000
+
+// crowdName is the name of crowd author i: two letter-only words, so
+// no numeric disambiguation suffix is stripped from it.
+func crowdName(i int) string {
+	word := func(n int) string {
+		return string(rune('A'+n%26)) + string(rune('a'+n/26%26))
+	}
+	return "Crowd " + word(i) + " " + word(i/676)
+}
+
 // annotateFixture: two "Wei Wang"s in different communities plus a
 // unique author, so a text can contain both ambiguous and unambiguous
-// mentions.
+// mentions, and a crowd of crowdSize authors with distinct names,
+// each of one paper of their own.
 func annotateFixture(t testing.TB) (*hin.DBLPSchema, *hin.Graph, map[string]hin.ObjectID, *shine.Model) {
 	t.Helper()
 	d := hin.NewDBLPSchema()
@@ -27,6 +42,10 @@ func annotateFixture(t testing.TB) (*hin.DBLPSchema, *hin.Graph, map[string]hin.
 		"nips":   b.MustAddObject(d.Venue, "NIPS"),
 		"data":   b.MustAddObject(d.Term, "data"),
 		"neural": b.MustAddObject(d.Term, "neural"),
+	}
+	for i := 0; i < crowdSize; i++ {
+		p := b.MustAddObject(d.Paper, fmt.Sprintf("crowd%d", i))
+		b.MustAddLink(d.Write, b.MustAddObject(d.Author, crowdName(i)), p)
 	}
 	for i := 0; i < 4; i++ {
 		p := b.MustAddObject(d.Paper, fmt.Sprintf("w1p%d", i))

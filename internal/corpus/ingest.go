@@ -137,12 +137,19 @@ type surfaceMatch struct {
 }
 
 // Prepare tokenises text, matches it against the dictionary and
-// resolves years and stemmed terms, once. Tokens covered by a
-// dictionary match are never also read as years or terms, whichever
-// mention a document is later cut for. Tokens and matches that
-// resolve to no network object are dropped.
+// resolves years and stemmed terms, once: PrepareTokens over
+// textproc.Tokenize(text).
 func (in *Ingester) Prepare(text string) *Prepared {
-	tokens := textproc.Tokenize(text)
+	return in.PrepareTokens(textproc.Tokenize(text))
+}
+
+// PrepareTokens is Prepare over an already tokenised text, for callers
+// that read the tokens themselves (the annotator spots mentions on
+// them). Tokens covered by a dictionary match are never also read as
+// years or terms, whichever mention a document is later cut for.
+// Tokens and matches that resolve to no network object are dropped.
+// The tokens are only read.
+func (in *Ingester) PrepareTokens(tokens []textproc.Token) *Prepared {
 	found := in.dict.FindAll(tokens)
 	p := &Prepared{matches: make([]surfaceMatch, len(found))}
 	objects := make([]hin.ObjectID, 0, len(tokens))

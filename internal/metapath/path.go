@@ -12,6 +12,7 @@ package metapath
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"shine/internal/hin"
@@ -202,16 +203,20 @@ func (p Path) Concat(s *hin.Schema, q Path) (Path, error) {
 }
 
 // Key returns a canonical comparable key for the path based on its
-// relation sequence, suitable for map keys and caches.
+// relation sequence ("3,5,1"), suitable for map keys and caches. Every
+// walk request builds one, so it is appended into a 32-byte stack
+// buffer and costs one allocation, the returned string; only a longer
+// key spills the buffer to the heap.
 func (p Path) Key() string {
-	var b strings.Builder
+	var buf [32]byte
+	b := buf[:0]
 	for k, r := range p.rels {
 		if k > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", r)
+		b = strconv.AppendInt(b, int64(r), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Equal reports whether two paths have the same relation sequence.

@@ -276,3 +276,28 @@ func TestPathConcat(t *testing.T) {
 		t.Error("non-composing concat accepted")
 	}
 }
+
+// TestKeyFormat pins the walk-cache key: relation IDs in decimal,
+// joined by commas, and "" for the empty path. A key is built per walk
+// request, so it costs one allocation, the string itself.
+func TestKeyFormat(t *testing.T) {
+	d := hin.NewDBLPSchema()
+	apvpa := MustParse(d.Schema, "A-P-V-P-A")
+	for _, tc := range []struct {
+		p    Path
+		want string
+	}{
+		{apvpa, "0,3,2,1"},
+		{Path{}, ""},
+		{Path{rels: []hin.RelationID{1234567, 0, 89}}, "1234567,0,89"},
+	} {
+		if got := tc.p.Key(); got != tc.want {
+			t.Errorf("%v.Key() = %q, want %q", tc.p.Relations(), got, tc.want)
+		}
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = apvpa.Key() }); n > 1 {
+		t.Errorf("Key() allocates %v times, want at most 1", n)
+	}
+	_ = sink
+}

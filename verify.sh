@@ -9,6 +9,12 @@ test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
 go test -race ./...
+# The benchmark harness is its own module (bench/go.mod), so the
+# commands above skip it. Vet it and run its smoke test, which serves
+# both workloads over loopback HTTP and checks every answer against
+# the in-process oracle, offline as bench/run.sh builds it.
+GOTOOLCHAIN=local GOPROXY=off go -C bench vet ./...
+GOTOOLCHAIN=local GOPROXY=off go -C bench test ./...
 # Smoke the serving-path, offline-pipeline, snapshot, candidate-index,
 # streaming, incremental-update, centrality-backend, annotation and
 # walk-kernel benchmarks (one iteration each) so they cannot rot
