@@ -464,7 +464,7 @@ func BenchmarkMetaPathWalk(b *testing.B) {
 	entity := e.DS.Data.Groups[0].Members[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Walk(entity, p); err != nil {
+		if _, err := w.Walk(context.Background(), entity, p, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -528,7 +528,7 @@ func BenchmarkEvaluateVSim(b *testing.B) {
 	e := benchEnv(b)
 	d := e.DS.Data.Schema
 	for i := 0; i < b.N; i++ {
-		vs, err := baselines.NewVSim(e.DS.Data.Graph, d.Author, d.Author, d.Venue, d.Term, d.Year)
+		vs, err := baselines.NewVSim(e.DS.Data.Graph, d.Author, nil, d.Author, d.Venue, d.Term, d.Year)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -688,13 +688,22 @@ func BenchmarkServerLink(b *testing.B) {
 	}
 }
 
-// BenchmarkBibloadAndDisambig measures the preprocessing chain over
-// an exported network: export -> disambiguate -> reload.
+// BenchmarkBibloadAndDisambig measures building a network from 5,000
+// JSON-lines publication records with namesake-suffixed authors, the
+// input shape `shine build` reads.
 func BenchmarkBibloadAndDisambig(b *testing.B) {
-	e := benchEnv(b)
 	var buf bytes.Buffer
-	if err := bibload.Export(&buf, e.DS.Data.Schema, e.DS.Data.Graph); err != nil {
-		b.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for i := 0; i < 5000; i++ {
+		pub := bibload.Publication{
+			Title:   fmt.Sprintf("mining frequent patterns in graph stream %d", i%700),
+			Authors: []string{fmt.Sprintf("Wei Wang %04d", i%40), fmt.Sprintf("Author %d", (i*7)%900)},
+			Venue:   fmt.Sprintf("Venue %d", i%30),
+			Year:    1990 + i%25,
+		}
+		if err := enc.Encode(pub); err != nil {
+			b.Fatal(err)
+		}
 	}
 	data := buf.Bytes()
 	b.ResetTimer()
@@ -780,6 +789,20 @@ func linkModel(b *testing.B, e *experiments.Env) *shine.Model {
 	return m
 }
 
+// feedDocs streams n documents, cycling through docs, and closes the
+// channel when done. The buffer keeps the feeder ahead of an 8-worker
+// pool, so the benchmarks time linking rather than the hand-off.
+func feedDocs(docs []*corpus.Document, n int) <-chan *corpus.Document {
+	in := make(chan *corpus.Document, 64)
+	go func() {
+		defer close(in)
+		for j := 0; j < n; j++ {
+			in <- docs[j%len(docs)]
+		}
+	}()
+	return in
+}
+
 // BenchmarkLinkSerial measures linking the whole quick corpus one
 // document at a time on a warm model — the frozen-CSR serving path.
 // docs/sec is the headline throughput number recorded in
@@ -787,38 +810,43 @@ func linkModel(b *testing.B, e *experiments.Env) *shine.Model {
 func BenchmarkLinkSerial(b *testing.B) {
 	e := benchEnv(b)
 	m := linkModel(b, e)
-	docs := e.DS.Corpus
+	docs := e.DS.Corpus.Docs
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.LinkAll(docs); err != nil {
-			b.Fatal(err)
+		for _, doc := range docs {
+			if _, err := m.Link(doc); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	elapsed := time.Since(start)
-	b.ReportMetric(float64(b.N)*float64(docs.Len())/elapsed.Seconds(), "docs/sec")
+	b.ReportMetric(float64(b.N)*float64(len(docs))/elapsed.Seconds(), "docs/sec")
 }
 
-// BenchmarkLinkParallel measures the same batch fanned out over 8
-// workers. On a single-core host this matches BenchmarkLinkSerial
-// (parallelism cannot beat the hardware); on multi-core hosts the
-// docs/sec metric scales with available cores because the frozen index
-// makes linking read-only and contention-free.
+// BenchmarkLinkParallel measures the same batch streamed through
+// LinkStream on 8 workers. On a single-core host this matches
+// BenchmarkLinkSerial (parallelism cannot beat the hardware); on
+// multi-core hosts the docs/sec metric scales with available cores
+// because the frozen index makes linking read-only and
+// contention-free.
 func BenchmarkLinkParallel(b *testing.B) {
 	e := benchEnv(b)
 	m := linkModel(b, e)
-	docs := e.DS.Corpus
+	docs := e.DS.Corpus.Docs
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := m.LinkAllParallel(docs, 8); err != nil {
-			b.Fatal(err)
+		for sr := range m.LinkStream(context.Background(), feedDocs(docs, len(docs)), 8) {
+			if sr.Err != nil {
+				b.Fatal(sr.Err)
+			}
 		}
 	}
 	elapsed := time.Since(start)
-	b.ReportMetric(float64(b.N)*float64(docs.Len())/elapsed.Seconds(), "docs/sec")
+	b.ReportMetric(float64(b.N)*float64(len(docs))/elapsed.Seconds(), "docs/sec")
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 }
 
@@ -856,15 +884,8 @@ func BenchmarkLinkStream(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		in := make(chan *corpus.Document, 64)
-		go func() {
-			for j := 0; j < streamDocCount; j++ {
-				in <- docs[j%len(docs)]
-			}
-			close(in)
-		}()
 		count := 0
-		for sr := range m.LinkStream(context.Background(), in, 8) {
+		for sr := range m.LinkStream(context.Background(), feedDocs(docs, streamDocCount), 8) {
 			if sr.Err != nil {
 				b.Fatal(sr.Err)
 			}
@@ -885,18 +906,15 @@ func BenchmarkLinkStream(b *testing.B) {
 }
 
 // BenchmarkLinkParallel10K is the materialized counterpart: the same
-// 10k documents through LinkAllParallel, which must hold the whole
-// result slice (candidate lists included) in memory at once. Its
-// peak-heap-mb grows with the batch while BenchmarkLinkStream's does
-// not — the reason the batch endpoint streams.
+// 10k documents through LinkStream, collected into one result slice
+// (candidate lists included) held in memory at once. Its peak-heap-mb
+// grows with the batch while BenchmarkLinkStream's does not — the
+// reason the batch endpoint streams.
 func BenchmarkLinkParallel10K(b *testing.B) {
 	e := benchEnv(b)
 	m := linkModel(b, e)
-	big := &corpus.Corpus{}
-	for j := 0; j < streamDocCount; j++ {
-		big.Add(e.DS.Corpus.Docs[j%e.DS.Corpus.Len()])
-	}
-	for _, doc := range e.DS.Corpus.Docs {
+	docs := e.DS.Corpus.Docs
+	for _, doc := range docs {
 		if _, err := m.Link(doc); err != nil {
 			b.Fatal(err)
 		}
@@ -906,12 +924,12 @@ func BenchmarkLinkParallel10K(b *testing.B) {
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		results, failures, err := m.LinkAllParallel(big, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if failures != 0 {
-			b.Fatalf("%d documents failed", failures)
+		results := make([]shine.Result, 0, streamDocCount)
+		for sr := range m.LinkStream(context.Background(), feedDocs(docs, streamDocCount), 8) {
+			if sr.Err != nil {
+				b.Fatal(sr.Err)
+			}
+			results = append(results, sr.Result)
 		}
 		if h := liveHeapMB() - base; h > peak {
 			peak = h
@@ -1099,7 +1117,7 @@ func BenchmarkWalkKernel(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Walk(entity, p); err != nil {
+			if _, err := w.Walk(context.Background(), entity, p, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1150,7 +1168,7 @@ func BenchmarkWalkScale(b *testing.B) {
 			entity := data.Groups[0].Members[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.Walk(entity, p); err != nil {
+				if _, err := w.Walk(context.Background(), entity, p, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1189,7 +1207,8 @@ func benchDelta(b *testing.B, g *hin.Graph, s *hin.DBLPSchema) *hin.Delta {
 	for i := 0; i < 4; i++ {
 		terms = append(terms, d.MustAppend(s.Term, fmt.Sprintf("deltaterm%d", i)))
 	}
-	for i := 0; d.NumEdges() == 0 || d.NumEdges()+4 <= target; i++ {
+	// Each new paper stages four distinct edges.
+	for i, edges := 0, 0; edges == 0 || edges+4 <= target; i, edges = i+1, edges+4 {
 		p := d.MustAppend(s.Paper, fmt.Sprintf("delta paper %d", i))
 		d.MustPatch(s.Write, contributors[i%len(contributors)], p)
 		d.MustPatch(s.Publish, venue, p)
@@ -1207,14 +1226,14 @@ func BenchmarkDeltaMerge(b *testing.B) {
 	e := benchEnv(b)
 	g := e.DS.Data.Graph
 	d := benchDelta(b, e.DS.Data.Graph, e.DS.Data.Schema)
-	merged, _, err := d.Merge()
+	merged, stats, err := d.Merge()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("splice", func(b *testing.B) {
 		b.ReportAllocs()
-		b.ReportMetric(float64(d.NumEdges()), "delta-edges")
-		b.ReportMetric(100*float64(d.NumEdges())/float64(g.NumLinks()), "delta-pct")
+		b.ReportMetric(float64(stats.NewEdges), "delta-edges")
+		b.ReportMetric(100*float64(stats.NewEdges)/float64(g.NumLinks()), "delta-pct")
 		for i := 0; i < b.N; i++ {
 			if _, _, err := d.Merge(); err != nil {
 				b.Fatal(err)

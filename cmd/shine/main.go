@@ -150,7 +150,9 @@ Commands:
          Regenerate a paper experiment. Names: table2, table3, table4,
          table5, fig3, fig4, fig5, fig6, lambda, pruning, sgd,
          calibration, ambiguity, nil, noise, significance, uwalk,
-         imdb, centrality, all.
+         imdb, centrality, all. -csv also writes the data of table2,
+         table4, table5, fig3, fig4, fig5, fig6 and centrality as
+         NAME.csv (fig3 as figure3.csv) into DIR.
   loadgen -addr URL [-mode single|batch|both] [-docs N] [-concurrency N]
          [-rate F] [-warmup N] [-seed N] [-authors N] [-groups N]
          [-numdocs N] [-wait-ready D] [-max-failures N] [-json FILE]
@@ -852,7 +854,7 @@ func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	exp := fs.String("exp", "all", "experiment: table2..5, fig3..6, lambda, pruning, sgd, calibration, ambiguity, nil, noise, significance, uwalk, imdb, centrality, all")
 	quick := fs.Bool("quick", false, "use the reduced quick dataset")
-	csvDir := fs.String("csv", "", "also write each experiment's data as CSV into this directory")
+	csvDir := fs.String("csv", "", "also write the data of table2, table4, table5, fig3, fig4, fig5, fig6 and centrality as CSV into this directory")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
 	fs.Parse(args)
@@ -976,6 +978,10 @@ func cmdBench(args []string) error {
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%.5g\n", r.Candidate, r.Object, r.Type, r.Prob)
 		}
 		tw.Flush()
+		h, csvRows := experiments.Figure3CSV(rows)
+		if err := writeCSV("figure3", h, csvRows); err != nil {
+			return err
+		}
 		fmt.Println()
 	}
 	if want("fig4") || want("fig4a") || want("fig4b") {

@@ -305,3 +305,18 @@ func TestSnapshotBuildModelVariants(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchFig3WritesCSV: -csv writes fig3's data as figure3.csv, as
+// the flag's help promises.
+func TestBenchFig3WritesCSV(t *testing.T) {
+	dir := t.TempDir()
+	mustRun(t, "bench", "-exp", "fig3", "-quick", "-csv", dir)
+	data, err := os.ReadFile(filepath.Join(dir, "figure3.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if lines[0] != "candidate,object,type,prob" || len(lines) < 2 {
+		t.Errorf("figure3.csv = %q, want the header candidate,object,type,prob and data rows", data)
+	}
+}

@@ -63,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	vsim, err := baselines.NewVSim(g, d.Author, d.Author, d.Venue, d.Term, d.Year)
+	vsim, err := baselines.NewVSim(g, d.Author, nil, d.Author, d.Venue, d.Term, d.Year)
 	if err != nil {
 		log.Fatal(err)
 	}

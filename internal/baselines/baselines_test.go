@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"shine/internal/corpus"
@@ -70,7 +71,7 @@ func TestPOPLinksToMostPopular(t *testing.T) {
 
 func TestVSimUsesContext(t *testing.T) {
 	d, g, ids := twoWangs(t)
-	vs, err := NewVSim(g, d.Author)
+	vs, err := NewVSim(g, d.Author, nil)
 	if err != nil {
 		t.Fatalf("NewVSim: %v", err)
 	}
@@ -94,7 +95,7 @@ func TestVSimTypeSubsets(t *testing.T) {
 	d, g, ids := twoWangs(t)
 
 	// Venue-only VSim can still separate the two Wangs here.
-	vsVenue, err := NewVSim(g, d.Author, d.Venue)
+	vsVenue, err := NewVSim(g, d.Author, nil, d.Venue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestVSimTypeSubsets(t *testing.T) {
 	}
 
 	// Year-only VSim sees only the year object.
-	vsYear, err := NewVSim(g, d.Author, d.Year)
+	vsYear, err := NewVSim(g, d.Author, nil, d.Year)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestVSimTypeSubsets(t *testing.T) {
 
 func TestVSimProfileExcludesEntityItself(t *testing.T) {
 	d, g, ids := twoWangs(t)
-	vs, err := NewVSim(g, d.Author)
+	vs, err := NewVSim(g, d.Author, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestUWalkUsesContext(t *testing.T) {
 	c.Add(docA)
 	c.Add(docB)
 
-	uw, err := NewUWalk(g, d.Author, c, 4, 0.2)
+	uw, err := NewUWalk(g, d.Author, nil, c, 4, 0.2)
 	if err != nil {
 		t.Fatalf("NewUWalk: %v", err)
 	}
@@ -171,10 +172,10 @@ func TestUWalkValidation(t *testing.T) {
 	d, g, ids := twoWangs(t)
 	c := &corpus.Corpus{}
 	c.Add(corpus.NewDocument("a", "Wei Wang", ids["w1"], []hin.ObjectID{ids["sigmod"]}))
-	if _, err := NewUWalk(g, d.Author, c, 0, 0.2); err == nil {
+	if _, err := NewUWalk(g, d.Author, nil, c, 0, 0.2); err == nil {
 		t.Error("zero steps accepted")
 	}
-	if _, err := NewUWalk(g, d.Author, c, 4, 1.5); err == nil {
+	if _, err := NewUWalk(g, d.Author, nil, c, 4, 1.5); err == nil {
 		t.Error("theta out of range accepted")
 	}
 }
@@ -183,7 +184,7 @@ func TestUWalkMixtureIsSubProbability(t *testing.T) {
 	d, g, ids := twoWangs(t)
 	c := &corpus.Corpus{}
 	c.Add(corpus.NewDocument("a", "Wei Wang", ids["w1"], []hin.ObjectID{ids["sigmod"]}))
-	uw, err := NewUWalk(g, d.Author, c, 4, 0.2)
+	uw, err := NewUWalk(g, d.Author, nil, c, 4, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +202,12 @@ func TestUWalkMixtureIsSubProbability(t *testing.T) {
 }
 
 // TestPOPSharesModelCandidates pins the property the McNemar pairing
-// in eval.CompareLinkers depends on: a POP built over the model's own
-// CandidateSource resolves exactly the candidate set the model does,
-// for every mention — including fuzzy/custom sources the default trie
-// would not replicate.
+// in eval.CompareLinkers depends on, for every baseline: one built over
+// the model's own CandidateSource resolves exactly the candidate set
+// the model does, for every mention — including fuzzy/custom sources
+// the default trie would not replicate — and one built with a nil
+// source resolves through the same rules, so no standalone baseline
+// is a divergent resolver either.
 func TestPOPSharesModelCandidates(t *testing.T) {
 	d, g, ids := twoWangs(t)
 	c := &corpus.Corpus{}
@@ -216,38 +219,46 @@ func TestPOPSharesModelCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shine.New: %v", err)
 	}
-	pop, err := NewPOP(g, d.Author, m.CandidateSource(), pagerank.DefaultOptions())
-	if err != nil {
-		t.Fatalf("NewPOP: %v", err)
-	}
-	for _, mention := range []string{"Wei Wang", "Richard R. Muntz", "Eric Martin", "Nobody Known"} {
-		want := m.CandidateSource().Candidates(mention)
-		got := pop.Candidates(mention)
-		if len(got) != len(want) {
-			t.Fatalf("mention %q: POP has %d candidates, model has %d", mention, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("mention %q candidate %d: POP %d, model %d", mention, i, got[i], want[i])
+	linkers := []struct {
+		name  string
+		build func(src shine.CandidateSource) (shine.CandidateSource, error)
+	}{
+		{"POP", func(src shine.CandidateSource) (shine.CandidateSource, error) {
+			p, err := NewPOP(g, d.Author, src, pagerank.DefaultOptions())
+			if err != nil {
+				return nil, err
 			}
-		}
+			return p.cands, nil
+		}},
+		{"VSim", func(src shine.CandidateSource) (shine.CandidateSource, error) {
+			v, err := NewVSim(g, d.Author, src)
+			if err != nil {
+				return nil, err
+			}
+			return v.cands, nil
+		}},
+		{"UWalk", func(src shine.CandidateSource) (shine.CandidateSource, error) {
+			u, err := NewUWalk(g, d.Author, src, c, 4, 0.2)
+			if err != nil {
+				return nil, err
+			}
+			return u.cands, nil
+		}},
 	}
-
-	// The default (nil) source matches the model's stock trie too —
-	// same construction rules — so standalone POP is not a divergent
-	// resolver either.
-	popDefault, err := NewPOP(g, d.Author, nil, pagerank.DefaultOptions())
-	if err != nil {
-		t.Fatalf("NewPOP(nil source): %v", err)
-	}
-	want := m.CandidateSource().Candidates("Wei Wang")
-	got := popDefault.Candidates("Wei Wang")
-	if len(got) != len(want) {
-		t.Fatalf("default source: %d candidates, model trie has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("default source candidate %d: %d, model %d", i, got[i], want[i])
+	mentions := []string{"Wei Wang", "Richard R. Muntz", "Eric Martin", "Nobody Known"}
+	for _, b := range linkers {
+		for _, src := range []shine.CandidateSource{m.CandidateSource(), nil} {
+			got, err := b.build(src)
+			if err != nil {
+				t.Fatalf("%s: %v", b.name, err)
+			}
+			for _, mention := range mentions {
+				want := m.CandidateSource().Candidates(mention)
+				if have := got.Candidates(mention); !slices.Equal(have, want) {
+					t.Errorf("%s (shared source %v) mention %q: candidates %v, model %v",
+						b.name, src != nil, mention, have, want)
+				}
+			}
 		}
 	}
 }

@@ -21,14 +21,27 @@ type POP struct {
 	cands      shine.CandidateSource
 }
 
+// candidateSource returns cands, or, when it is nil, the default
+// surface-form trie over g — the same index shine.New builds — so a
+// standalone baseline resolves candidates by the model's rules rather
+// than through a divergent path. Pass a SHINE model's
+// CandidateSource() when comparing a baseline with the model:
+// eval.CompareLinkers feeds McNemar paired outcomes, which are only
+// meaningful when both linkers choose from the same candidate set per
+// mention.
+func candidateSource(g *hin.Graph, entityType hin.TypeID, cands shine.CandidateSource) (shine.CandidateSource, error) {
+	if cands != nil {
+		return cands, nil
+	}
+	trie, err := surftrie.Build(g, entityType)
+	if err != nil {
+		return nil, err
+	}
+	return trie, nil
+}
+
 // NewPOP computes entity popularity offline and resolves candidates
-// through cands. Pass a SHINE model's CandidateSource() when comparing
-// the two systems — eval.CompareLinkers feeds McNemar paired outcomes,
-// which are only meaningful when both linkers choose from the same
-// candidate set per mention. A nil cands builds the default
-// surface-form trie over the graph, the same index shine.New builds,
-// so even standalone POP resolves candidates by the model's rules
-// rather than through a divergent path.
+// through cands (nil builds the default trie; see candidateSource).
 func NewPOP(g *hin.Graph, entityType hin.TypeID, cands shine.CandidateSource, opts pagerank.Options) (*POP, error) {
 	res, err := pagerank.Compute(g, opts)
 	if err != nil {
@@ -38,20 +51,10 @@ func NewPOP(g *hin.Graph, entityType hin.TypeID, cands shine.CandidateSource, op
 	if err != nil {
 		return nil, err
 	}
-	if cands == nil {
-		trie, err := surftrie.Build(g, entityType)
-		if err != nil {
-			return nil, err
-		}
-		cands = trie
+	if cands, err = candidateSource(g, entityType, cands); err != nil {
+		return nil, err
 	}
 	return &POP{popularity: pop, cands: cands}, nil
-}
-
-// Candidates exposes POP's candidate resolution so tests can pin it
-// against the model's.
-func (p *POP) Candidates(mention string) []hin.ObjectID {
-	return p.cands.Candidates(mention)
 }
 
 // Link returns the most popular candidate for the document's mention.

@@ -6,8 +6,8 @@ import (
 
 	"shine/internal/corpus"
 	"shine/internal/hin"
-	"shine/internal/namematch"
 	"shine/internal/pagerank"
+	"shine/internal/shine"
 	"shine/internal/sparse"
 )
 
@@ -21,7 +21,7 @@ import (
 // buy.
 type UWalk struct {
 	g          *hin.Graph
-	index      *namematch.Index
+	cands      shine.CandidateSource
 	popularity map[hin.ObjectID]float64
 	generic    *corpus.GenericModel
 
@@ -35,10 +35,11 @@ type UWalk struct {
 	cache map[hin.ObjectID]sparse.Vector
 }
 
-// NewUWalk builds the unconstrained-walk linker. steps is the walk
-// horizon (the paper's meta-paths reach length 4); theta the
-// smoothing weight.
-func NewUWalk(g *hin.Graph, entityType hin.TypeID, docs *corpus.Corpus, steps int, theta float64) (*UWalk, error) {
+// NewUWalk builds the unconstrained-walk linker. Candidates resolve
+// through cands (nil builds the default trie; see candidateSource).
+// steps is the walk horizon (the paper's meta-paths reach length 4);
+// theta the smoothing weight.
+func NewUWalk(g *hin.Graph, entityType hin.TypeID, cands shine.CandidateSource, docs *corpus.Corpus, steps int, theta float64) (*UWalk, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("baselines: walk horizon %d must be positive", steps)
 	}
@@ -53,8 +54,7 @@ func NewUWalk(g *hin.Graph, entityType hin.TypeID, docs *corpus.Corpus, steps in
 	if err != nil {
 		return nil, err
 	}
-	idx, err := namematch.BuildIndex(g, entityType)
-	if err != nil {
+	if cands, err = candidateSource(g, entityType, cands); err != nil {
 		return nil, err
 	}
 	gen, err := corpus.EstimateGeneric(docs)
@@ -63,7 +63,7 @@ func NewUWalk(g *hin.Graph, entityType hin.TypeID, docs *corpus.Corpus, steps in
 	}
 	return &UWalk{
 		g:          g,
-		index:      idx,
+		cands:      cands,
 		popularity: pop,
 		generic:    gen,
 		steps:      steps,
@@ -108,7 +108,7 @@ func (u *UWalk) walkMixture(e hin.ObjectID) sparse.Vector {
 // Link scores every candidate with the same joint form as SHINE but
 // the unconstrained walk mixture as Pe.
 func (u *UWalk) Link(doc *corpus.Document) (hin.ObjectID, error) {
-	cands := u.index.Candidates(doc.Mention)
+	cands := u.cands.Candidates(doc.Mention)
 	if len(cands) == 0 {
 		return hin.NoObject, fmt.Errorf("baselines: mention %q has no candidates", doc.Mention)
 	}

@@ -5,7 +5,7 @@ import (
 
 	"shine/internal/corpus"
 	"shine/internal/hin"
-	"shine/internal/namematch"
+	"shine/internal/shine"
 	"shine/internal/sparse"
 )
 
@@ -21,7 +21,7 @@ import (
 type VSim struct {
 	g          *hin.Graph
 	entityType hin.TypeID
-	index      *namematch.Index
+	cands      shine.CandidateSource
 	types      map[hin.TypeID]bool
 
 	// profiles caches the per-entity profile vector, built lazily:
@@ -31,16 +31,17 @@ type VSim struct {
 
 // NewVSim builds the baseline over the given graph for entities of
 // entityType, using only profile/context objects of the given types.
-// Passing no types means all types are used.
-func NewVSim(g *hin.Graph, entityType hin.TypeID, types ...hin.TypeID) (*VSim, error) {
-	idx, err := namematch.BuildIndex(g, entityType)
+// Passing no types means all types are used. Candidates resolve
+// through cands (nil builds the default trie; see candidateSource).
+func NewVSim(g *hin.Graph, entityType hin.TypeID, cands shine.CandidateSource, types ...hin.TypeID) (*VSim, error) {
+	cands, err := candidateSource(g, entityType, cands)
 	if err != nil {
 		return nil, err
 	}
 	v := &VSim{
 		g:          g,
 		entityType: entityType,
-		index:      idx,
+		cands:      cands,
 		profiles:   make(map[hin.ObjectID]sparse.Vector),
 	}
 	if len(types) > 0 {
@@ -102,7 +103,7 @@ func (v *VSim) context(doc *corpus.Document) sparse.Vector {
 // similarity with the document context. Ties (including the all-zero
 // case) break towards the lower entity ID.
 func (v *VSim) Link(doc *corpus.Document) (hin.ObjectID, error) {
-	cands := v.index.Candidates(doc.Mention)
+	cands := v.cands.Candidates(doc.Mention)
 	if len(cands) == 0 {
 		return hin.NoObject, fmt.Errorf("baselines: mention %q has no candidates", doc.Mention)
 	}

@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"shine/internal/hin"
@@ -157,35 +156,6 @@ func addPublication(d *hin.DBLPSchema, b *hin.Builder, pub Publication, st *Stat
 		}
 		if err := b.AddLink(d.PublishedIn, paper, year); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// Export writes a graph's publications back out as JSON lines — the
-// inverse of Load, up to term stemming (titles are reconstructed from
-// stems). Useful for moving networks between tools and for round-trip
-// tests.
-func Export(w io.Writer, d *hin.DBLPSchema, g *hin.Graph) error {
-	enc := json.NewEncoder(w)
-	for _, paper := range g.ObjectsOfType(d.Paper) {
-		pub := Publication{Title: g.Name(paper)}
-		for _, a := range g.Neighbors(d.WrittenBy, paper) {
-			pub.Authors = append(pub.Authors, g.Name(a))
-		}
-		if vs := g.Neighbors(d.PublishedAt, paper); len(vs) > 0 {
-			pub.Venue = g.Name(vs[0])
-		}
-		if ys := g.Neighbors(d.PublishedIn, paper); len(ys) > 0 {
-			year, err := strconv.Atoi(g.Name(ys[0]))
-			if err != nil {
-				return fmt.Errorf("bibload: exporting %q: year object %q is not an integer: %w",
-					pub.Title, g.Name(ys[0]), err)
-			}
-			pub.Year = year
-		}
-		if err := enc.Encode(pub); err != nil {
-			return fmt.Errorf("bibload: exporting: %w", err)
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package bibload
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -107,36 +106,5 @@ func TestLoadedNetworkLinksEndToEnd(t *testing.T) {
 	w1, _ := g.Lookup(d.Author, "Wei Wang 0001")
 	if r.Entity != w1 {
 		t.Errorf("linked to %s, want Wei Wang 0001", g.Name(r.Entity))
-	}
-}
-
-func TestExportRoundTrip(t *testing.T) {
-	d, g, _, err := Load(strings.NewReader(samplePubs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Export(&buf, d, g); err != nil {
-		t.Fatalf("Export: %v", err)
-	}
-	d2, g2, st2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("reloading export: %v", err)
-	}
-	if st2.Publications != 3 {
-		t.Errorf("round-trip publications = %d", st2.Publications)
-	}
-	// Structure survives: same author/venue/year object counts and
-	// same write degrees.
-	if got, want := g2.Stats().ObjectsByTyp["author"], g.Stats().ObjectsByTyp["author"]; got != want {
-		t.Errorf("authors = %d, want %d", got, want)
-	}
-	w1a, _ := g.Lookup(d.Author, "Wei Wang 0001")
-	w1b, ok := g2.Lookup(d2.Author, "Wei Wang 0001")
-	if !ok {
-		t.Fatal("author lost in round trip")
-	}
-	if g.Degree(d.Write, w1a) != g2.Degree(d2.Write, w1b) {
-		t.Error("write degree changed in round trip")
 	}
 }

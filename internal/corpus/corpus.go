@@ -47,15 +47,6 @@ func (d *Document) TotalCount() int {
 	return n
 }
 
-// Bag returns the document's object counts as a sparse vector.
-func (d *Document) Bag() sparse.Vector {
-	v := sparse.NewWithCapacity(len(d.Objects))
-	for _, oc := range d.Objects {
-		v.Set(int32(oc.Object), float64(oc.Count))
-	}
-	return v
-}
-
 // NewDocument builds a Document from an unsorted, possibly duplicated
 // object list, normalising it to the sorted deduplicated form. The
 // caller's slice is not modified.
@@ -144,10 +135,6 @@ func GenericFromVector(v sparse.Vector) (*GenericModel, error) {
 func (g *GenericModel) Prob(v hin.ObjectID) float64 {
 	return g.probs.Get(int32(v))
 }
-
-// Support returns the number of objects with non-zero generic
-// probability.
-func (g *GenericModel) Support() int { return g.probs.Len() }
 
 // Vector returns the underlying probability vector (shared; do not
 // modify).

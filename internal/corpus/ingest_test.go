@@ -34,14 +34,13 @@ func TestIngestRecognisesAllObjectTypes(t *testing.T) {
 		"Her interests include data mining. She serves on SIGMOD and VLDB."
 	doc := in.Ingest("doc1", "Wei Wang", ids["wei"], text)
 
-	bag := doc.Bag()
 	for _, key := range []string{"muntz", "sigmod", "vldb", "data", "mine", "1999"} {
-		if bag.Get(int32(ids[key])) == 0 {
+		if countOf(doc, ids[key]) == 0 {
 			t.Errorf("object %s not recognised", key)
 		}
 	}
 	// The mention itself must have been removed.
-	if bag.Get(int32(ids["wei"])) != 0 {
+	if countOf(doc, ids["wei"]) != 0 {
 		t.Error("mention surface form appears in its own object bag")
 	}
 	if doc.Gold != ids["wei"] {
@@ -58,7 +57,7 @@ func TestIngestStripsDisambiguationSuffixInDictionary(t *testing.T) {
 	// The graph stores "Wei Wang 0003" but the document says "Wei Wang";
 	// ingesting a document about someone else must still resolve it.
 	doc := in.Ingest("doc2", "Richard Muntz", ids["muntz"], "Joint work with Wei Wang on data.")
-	if doc.Bag().Get(int32(ids["wei"])) == 0 {
+	if countOf(doc, ids["wei"]) == 0 {
 		t.Error("suffixed author name not matched by plain surface form")
 	}
 }
@@ -74,7 +73,7 @@ func TestIngestDropsStopWordsAndUnknownTerms(t *testing.T) {
 	if got := doc.TotalCount(); got != 1 {
 		t.Errorf("TotalCount = %d, want 1 (only 'data')", got)
 	}
-	if doc.Bag().Get(int32(ids["data"])) != 1 {
+	if countOf(doc, ids["data"]) != 1 {
 		t.Error("'data' not recognised")
 	}
 }
@@ -86,7 +85,7 @@ func TestIngestYearOutsideGraphDropped(t *testing.T) {
 		t.Fatalf("NewIngester: %v", err)
 	}
 	doc := in.Ingest("doc4", "Wei Wang", ids["wei"], "in 1999 and 2005")
-	if doc.Bag().Get(int32(ids["1999"])) != 1 {
+	if countOf(doc, ids["1999"]) != 1 {
 		t.Error("1999 not recognised")
 	}
 	// 2005 is a valid year token but has no year object in the graph.
@@ -102,10 +101,10 @@ func TestIngestCountsRepeats(t *testing.T) {
 		t.Fatalf("NewIngester: %v", err)
 	}
 	doc := in.Ingest("doc5", "Wei Wang", ids["wei"], "data data data mining")
-	if got := doc.Bag().Get(int32(ids["data"])); got != 3 {
+	if got := countOf(doc, ids["data"]); got != 3 {
 		t.Errorf("count(data) = %v, want 3", got)
 	}
-	if got := doc.Bag().Get(int32(ids["mine"])); got != 1 {
+	if got := countOf(doc, ids["mine"]); got != 1 {
 		t.Errorf("count(mine) = %v, want 1", got)
 	}
 }

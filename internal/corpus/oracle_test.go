@@ -22,7 +22,7 @@ func OracleIngest(in *Ingester, id, mention string, gold hin.ObjectID, text stri
 	var objects []hin.ObjectID
 	matched := make([]bool, len(tokens))
 	for _, m := range matches {
-		if strings.ToLower(m.Surface(tokens)) == mentionLower {
+		if strings.ToLower(joinTokens(tokens[m.TokenStart:m.TokenEnd])) == mentionLower {
 			// The mention itself: mark consumed but emit nothing.
 			for i := m.TokenStart; i < m.TokenEnd; i++ {
 				matched[i] = true

@@ -119,21 +119,3 @@ func EvaluateNIL(l Linker, c *corpus.Corpus) (NILSummary, error) {
 	s.Elapsed = time.Since(start)
 	return s, nil
 }
-
-// Accuracy computes the paper's accuracy measure from parallel gold
-// and predicted entity slices.
-func Accuracy(gold, pred []hin.ObjectID) (float64, error) {
-	if len(gold) != len(pred) {
-		return 0, fmt.Errorf("eval: %d gold labels for %d predictions", len(gold), len(pred))
-	}
-	if len(gold) == 0 {
-		return 0, fmt.Errorf("eval: no predictions")
-	}
-	correct := 0
-	for i := range gold {
-		if gold[i] == pred[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(gold)), nil
-}

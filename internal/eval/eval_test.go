@@ -88,19 +88,3 @@ func TestEvaluateNIL(t *testing.T) {
 		t.Error("empty corpus accepted")
 	}
 }
-
-func TestAccuracy(t *testing.T) {
-	acc, err := Accuracy([]hin.ObjectID{1, 2, 3}, []hin.ObjectID{1, 9, 3})
-	if err != nil {
-		t.Fatalf("Accuracy: %v", err)
-	}
-	if acc != 2.0/3 {
-		t.Errorf("Accuracy = %v", acc)
-	}
-	if _, err := Accuracy([]hin.ObjectID{1}, []hin.ObjectID{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := Accuracy(nil, nil); err == nil {
-		t.Error("empty input accepted")
-	}
-}

@@ -145,7 +145,7 @@ func (e *Env) NoiseSweep(netCfg synth.DBLPConfig, docCfg synth.DocConfig, noiseL
 			c.Add(ing.Ingest(rd.ID, rd.Mention, rd.Gold, rd.Text))
 		}
 
-		vs, err := baselines.NewVSim(data.Graph, d.Author, d.Author, d.Venue, d.Term, d.Year)
+		vs, err := baselines.NewVSim(data.Graph, d.Author, nil, d.Author, d.Venue, d.Term, d.Year)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +188,7 @@ type WalkAblationResult struct {
 // WalkAblation evaluates both variants on the environment corpus.
 func (e *Env) WalkAblation() (*WalkAblationResult, error) {
 	d := e.DS.Data.Schema
-	uw, err := baselines.NewUWalk(e.DS.Data.Graph, d.Author, e.DS.Corpus, 4, shine.DefaultConfig().Theta)
+	uw, err := baselines.NewUWalk(e.DS.Data.Graph, d.Author, nil, e.DS.Corpus, 4, shine.DefaultConfig().Theta)
 	if err != nil {
 		return nil, err
 	}
@@ -285,15 +285,17 @@ type SignificanceResult struct {
 // difference.
 func (e *Env) Significance() (*SignificanceResult, error) {
 	d := e.DS.Data.Schema
-	vs, err := baselines.NewVSim(e.DS.Data.Graph, d.Author, d.Author, d.Venue, d.Term, d.Year)
-	if err != nil {
-		return nil, err
-	}
 	m, err := e.newModel(e.Paths10, nil)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := m.Learn(e.DS.Corpus); err != nil {
+		return nil, err
+	}
+	// VSim resolves candidates through the model's own source, so the
+	// McNemar pairs share candidate sets by construction.
+	vs, err := baselines.NewVSim(e.DS.Data.Graph, d.Author, m.CandidateSource(), d.Author, d.Venue, d.Term, d.Year)
+	if err != nil {
 		return nil, err
 	}
 	shLinker := eval.LinkerFunc(func(doc *corpus.Document) (hin.ObjectID, error) {

@@ -14,6 +14,7 @@ import (
 	"shine/internal/baselines"
 	"shine/internal/corpus"
 	"shine/internal/shine"
+	"shine/internal/surftrie"
 )
 
 // ---------------------------------------------------------------- Table 2
@@ -145,9 +146,15 @@ func (e *Env) Table4() (*Table4Result, error) {
 		{"Coauthor+Venue+Term", []hin.TypeID{d.Author, d.Venue, d.Term}},
 		{"Coauthor+Venue+Term+Year", []hin.TypeID{d.Author, d.Venue, d.Term, d.Year}},
 	}
+	// One candidate index serves every subset: only the profile types
+	// differ between them.
+	trie, err := surftrie.Build(e.DS.Data.Graph, d.Author)
+	if err != nil {
+		return nil, err
+	}
 	out := &Table4Result{}
 	for _, sub := range subsets {
-		vs, err := baselines.NewVSim(e.DS.Data.Graph, d.Author, sub.types...)
+		vs, err := baselines.NewVSim(e.DS.Data.Graph, d.Author, trie, sub.types...)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +217,7 @@ func (e *Env) Table5() (*Table5Result, error) {
 	}
 	add("POP", s)
 
-	vs, err := baselines.NewVSim(e.DS.Data.Graph, d.Author, d.Author, d.Venue, d.Term, d.Year)
+	vs, err := baselines.NewVSim(e.DS.Data.Graph, d.Author, nil, d.Author, d.Venue, d.Term, d.Year)
 	if err != nil {
 		return nil, err
 	}

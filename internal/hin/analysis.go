@@ -88,27 +88,3 @@ func giniSorted(sorted []int, total int) float64 {
 	}
 	return (2*weighted)/(n*float64(total)) - (n+1)/n
 }
-
-// DegreeHistogram buckets the degrees of objects of type t under
-// relation rel into powers of two: bucket k counts degrees in
-// [2^k, 2^(k+1)), with bucket -1 holding zero degrees. Keys are the
-// bucket exponents, values the counts.
-func (g *Graph) DegreeHistogram(t TypeID, rel RelationID) (map[int]int, error) {
-	objs := g.ObjectsOfType(t)
-	if len(objs) == 0 {
-		return nil, fmt.Errorf("hin: no objects of type %d", t)
-	}
-	if rel < 0 || int(rel) >= g.schema.NumRelations() {
-		return nil, fmt.Errorf("hin: invalid relation %d", rel)
-	}
-	hist := make(map[int]int)
-	for _, v := range objs {
-		d := g.Degree(rel, v)
-		if d == 0 {
-			hist[-1]++
-			continue
-		}
-		hist[int(math.Floor(math.Log2(float64(d))))]++
-	}
-	return hist, nil
-}

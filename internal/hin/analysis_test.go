@@ -71,26 +71,6 @@ func TestDegreeDistributionErrors(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	d, g := degreeGraph(t)
-	hist, err := g.DegreeHistogram(d.Author, d.Write)
-	if err != nil {
-		t.Fatalf("DegreeHistogram: %v", err)
-	}
-	// Degrees 1, 2, 5 -> buckets 0 (for 1), 1 (for 2-3), 2 (for 4-7).
-	if hist[0] != 1 || hist[1] != 1 || hist[2] != 1 {
-		t.Errorf("histogram = %v", hist)
-	}
-	// Papers have zero write out-degree.
-	ph, err := g.DegreeHistogram(d.Paper, d.Write)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph[-1] != 8 {
-		t.Errorf("zero bucket = %d, want 8", ph[-1])
-	}
-}
-
 func TestPercentileSorted(t *testing.T) {
 	if got := percentileSorted([]int{10}, 0.9); got != 10 {
 		t.Errorf("single element percentile = %v", got)

@@ -129,14 +129,6 @@ func (d *Delta) Lookup(typ TypeID, name string) (ObjectID, bool) {
 	return id, true
 }
 
-// NumObjects returns the number of newly staged objects (base objects
-// resolved by Append do not count).
-func (d *Delta) NumObjects() int { return len(d.typeOf) }
-
-// NumEdges returns the number of staged links, counting each
-// forward/inverse pair once.
-func (d *Delta) NumEdges() int { return d.numEdges }
-
 // Empty reports whether the delta stages nothing at all.
 func (d *Delta) Empty() bool { return len(d.typeOf) == 0 && d.numEdges == 0 }
 

@@ -147,9 +147,9 @@ func TestMergeDeltasBitIdenticalProperty(t *testing.T) {
 			if err := merged.Validate(); err != nil {
 				t.Fatalf("seed %d batch %d: merged graph invalid: %v", seed, batch, err)
 			}
-			if stats.NewObjects != delta.NumObjects() || stats.NewEdges != delta.NumEdges() {
+			if stats.NewObjects != len(delta.typeOf) || stats.NewEdges != delta.numEdges {
 				t.Fatalf("seed %d batch %d: stats %+v disagree with delta (%d objects, %d edges)",
-					seed, batch, stats, delta.NumObjects(), delta.NumEdges())
+					seed, batch, stats, len(delta.typeOf), delta.numEdges)
 			}
 			if !slices.IsSorted(stats.Touched) {
 				t.Fatalf("seed %d batch %d: Touched not sorted: %v", seed, batch, stats.Touched)
@@ -265,8 +265,8 @@ func TestDeltaValidation(t *testing.T) {
 	if id, err := delta.Append(d.Author, "a0"); err != nil || id != a0 {
 		t.Errorf("Append existing = (%d, %v), want (%d, nil)", id, err, a0)
 	}
-	if delta.NumObjects() != 0 {
-		t.Errorf("resolving an existing object staged %d objects", delta.NumObjects())
+	if len(delta.typeOf) != 0 {
+		t.Errorf("resolving an existing object staged %d objects", len(delta.typeOf))
 	}
 	// A delta staged over one graph cannot merge into another.
 	other := NewBuilder(d.Schema).Build()

@@ -129,9 +129,6 @@ func (b *Builder) validObject(v ObjectID) bool {
 	return v >= 0 && int(v) < len(b.typeOf)
 }
 
-// NumObjects returns the number of objects added so far.
-func (b *Builder) NumObjects() int { return len(b.typeOf) }
-
 // Build freezes the builder into an immutable Graph. The builder can
 // continue to accumulate objects and links afterwards; subsequent
 // Build calls produce independent graphs.

@@ -56,8 +56,8 @@ func TestBuilderDeduplicatesObjects(t *testing.T) {
 	if v == a1 {
 		t.Error("same name under different type shared an ID")
 	}
-	if b.NumObjects() != 2 {
-		t.Errorf("NumObjects = %d, want 2", b.NumObjects())
+	if len(b.typeOf) != 2 {
+		t.Errorf("NumObjects = %d, want 2", len(b.typeOf))
 	}
 }
 

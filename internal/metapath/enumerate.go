@@ -52,29 +52,6 @@ func Enumerate(s *hin.Schema, start hin.TypeID, maxLen int) ([]Path, error) {
 	return out, nil
 }
 
-// EnumerateEndingIn filters Enumerate's output to paths whose end type
-// is one of the given types. SHINE's object model only benefits from
-// paths ending in types that appear in documents (e.g. authors,
-// venues, terms and years in DBLP web text), so this is the natural
-// automatic path-set constructor.
-func EnumerateEndingIn(s *hin.Schema, start hin.TypeID, maxLen int, endTypes ...hin.TypeID) ([]Path, error) {
-	all, err := Enumerate(s, start, maxLen)
-	if err != nil {
-		return nil, err
-	}
-	allowed := make(map[hin.TypeID]bool, len(endTypes))
-	for _, t := range endTypes {
-		allowed[t] = true
-	}
-	var out []Path
-	for _, p := range all {
-		if allowed[p.EndType(s)] {
-			out = append(out, p)
-		}
-	}
-	return out, nil
-}
-
 // DBLPPaperPaths returns the ten DBLP meta-paths of Table 3, in the
 // paper's order: A-P-A, A-P-A-P-A, A-P-V-P-A, A-P-V, A-P-A-P-V,
 // A-P-T-P-V, A-P-T, A-P-A-P-T, A-P-V-P-T, A-P-Y.

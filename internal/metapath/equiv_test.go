@@ -1,6 +1,7 @@
 package metapath
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -31,9 +32,9 @@ func TestWalkMatchesReferenceBitForBit(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					maxSupport = 1 + rng.Intn(6)
 				}
-				got, err := w.WalkPruned(a, p, maxSupport)
+				got, err := w.Walk(context.Background(), a, p, maxSupport)
 				if err != nil {
-					t.Fatalf("%s: WalkPruned: %v", name, err)
+					t.Fatalf("%s: Walk: %v", name, err)
 				}
 				want, err := ReferenceWalk(g, a, p, maxSupport)
 				if err != nil {
@@ -43,12 +44,14 @@ func TestWalkMatchesReferenceBitForBit(t *testing.T) {
 					t.Fatalf("%s path %s e=%d k=%d: support %d vs reference %d",
 						name, p, a, maxSupport, got.Len(), len(want))
 				}
-				got.ForEach(func(i int32, x float64) {
+				gotIdx, gotVal := got.Raw()
+				for k, i := range gotIdx {
+					x := gotVal[k]
 					if wx := want[i]; x != wx {
 						t.Fatalf("%s path %s e=%d k=%d: [%d] = %v, reference %v (bit-for-bit)",
 							name, p, a, maxSupport, i, x, wx)
 					}
-				})
+				}
 				if maxSupport == 0 {
 					sizes = append(sizes, got.Len())
 				}
@@ -139,11 +142,13 @@ func TestWalkMixtureDistMatchesVectorMixture(t *testing.T) {
 			if got.Len() != want.Len() {
 				t.Fatalf("seed %d e=%d: mixture support %d vs %d", seed, a, got.Len(), want.Len())
 			}
-			got.ForEach(func(i int32, x float64) {
+			gotIdx, gotVal := got.Raw()
+			for k, i := range gotIdx {
+				x := gotVal[k]
 				if wx := want.Get(i); x != wx {
 					t.Fatalf("seed %d e=%d: mixture[%d] = %v, want %v (bit-for-bit)", seed, a, i, x, wx)
 				}
-			})
+			}
 		}
 	}
 }
@@ -157,7 +162,7 @@ func TestWalkCacheReturnsAreImmutableAliases(t *testing.T) {
 	d, g, authors := randomDBLP(3)
 	w := NewWalker(g, 64)
 	p := DBLPPaperPaths(d)[0]
-	first, err := w.Walk(authors[0], p)
+	first, err := w.Walk(context.Background(), authors[0], p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,7 @@ func TestWalkCacheReturnsAreImmutableAliases(t *testing.T) {
 	for i := range mutable {
 		mutable[i] = -1 // attack the thawed copy
 	}
-	again, err := w.Walk(authors[0], p)
+	again, err := w.Walk(context.Background(), authors[0], p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +181,11 @@ func TestWalkCacheReturnsAreImmutableAliases(t *testing.T) {
 	if again.Len() != len(ref) {
 		t.Fatalf("cached support %d, want %d", again.Len(), len(ref))
 	}
-	again.ForEach(func(i int32, x float64) {
+	againIdx, againVal := again.Raw()
+	for k, i := range againIdx {
+		x := againVal[k]
 		if x != ref[i] {
 			t.Fatalf("cache corrupted through a thawed copy: [%d] = %v, want %v", i, x, ref[i])
 		}
-	})
+	}
 }

@@ -1,6 +1,7 @@
 package metapath
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,11 +16,11 @@ func TestCloneForKeepsSurvivingEntries(t *testing.T) {
 	w := NewWalker(g, 16)
 	apv := MustParse(d.Schema, "A-P-V")
 
-	weiDist, err := w.Walk(ids["wei"], apv)
+	weiDist, err := w.Walk(context.Background(), ids["wei"], apv, 0)
 	if err != nil {
 		t.Fatalf("Walk(wei): %v", err)
 	}
-	if _, err := w.Walk(ids["coauthor"], apv); err != nil {
+	if _, err := w.Walk(context.Background(), ids["coauthor"], apv, 0); err != nil {
 		t.Fatalf("Walk(coauthor): %v", err)
 	}
 
@@ -34,7 +35,7 @@ func TestCloneForKeepsSurvivingEntries(t *testing.T) {
 	}
 
 	nw, stats := w.CloneFor(g2, func(e hin.ObjectID) bool { return e != ids["coauthor"] })
-	if nw.Graph() != g2 {
+	if nw.g != g2 {
 		t.Fatal("clone does not serve the new graph")
 	}
 	if stats.Kept != 1 || stats.Dropped != 1 {
@@ -42,7 +43,7 @@ func TestCloneForKeepsSurvivingEntries(t *testing.T) {
 	}
 
 	base := nw.CacheStats()
-	got, err := nw.Walk(ids["wei"], apv)
+	got, err := nw.Walk(context.Background(), ids["wei"], apv, 0)
 	if err != nil {
 		t.Fatalf("clone Walk(wei): %v", err)
 	}
@@ -56,7 +57,7 @@ func TestCloneForKeepsSurvivingEntries(t *testing.T) {
 		}
 	}
 
-	if _, err := nw.Walk(ids["coauthor"], apv); err != nil {
+	if _, err := nw.Walk(context.Background(), ids["coauthor"], apv, 0); err != nil {
 		t.Fatalf("clone Walk(coauthor): %v", err)
 	}
 	final := nw.CacheStats()
@@ -72,12 +73,12 @@ func TestCloneForNilKeepKeepsAll(t *testing.T) {
 	w := NewWalker(g, 16)
 	apv := MustParse(d.Schema, "A-P-V")
 	for _, e := range []hin.ObjectID{ids["wei"], ids["coauthor"]} {
-		if _, err := w.Walk(e, apv); err != nil {
+		if _, err := w.Walk(context.Background(), e, apv, 0); err != nil {
 			t.Fatalf("Walk: %v", err)
 		}
 	}
 	// A second walk to accumulate a hit.
-	if _, err := w.Walk(ids["wei"], apv); err != nil {
+	if _, err := w.Walk(context.Background(), ids["wei"], apv, 0); err != nil {
 		t.Fatalf("Walk: %v", err)
 	}
 	before, walksBefore := w.CacheStats(), w.WalkStats()
@@ -118,7 +119,7 @@ func TestCloneForShardedPreservesLRUOrder(t *testing.T) {
 	}
 	apv := MustParse(d.Schema, "A-P-V")
 	for _, a := range authors {
-		if _, err := w.Walk(a, apv); err != nil {
+		if _, err := w.Walk(context.Background(), a, apv, 0); err != nil {
 			t.Fatalf("Walk: %v", err)
 		}
 	}

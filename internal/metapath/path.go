@@ -46,15 +46,6 @@ func New(s *hin.Schema, rels ...hin.RelationID) (Path, error) {
 	return p, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(s *hin.Schema, rels ...hin.RelationID) Path {
-	p, err := New(s, rels...)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Parse builds a Path from the paper's type-abbreviation notation,
 // e.g. "A-P-V" over the DBLP schema. Each consecutive type pair must
 // be joined by exactly one relation in the schema; otherwise the
@@ -126,15 +117,6 @@ func (p Path) Relations() []hin.RelationID {
 	return append([]hin.RelationID(nil), p.rels...)
 }
 
-// Relation returns the k-th relation of the path.
-func (p Path) Relation(k int) hin.RelationID { return p.rels[k] }
-
-// Prefix returns the path made of the first k relations. Prefix(0) is
-// the empty path.
-func (p Path) Prefix(k int) Path {
-	return Path{rels: p.rels[:k], label: ""}
-}
-
 // StartType returns the source type of the path, or hin.NoType for
 // the empty path.
 func (p Path) StartType(s *hin.Schema) hin.TypeID {
@@ -142,15 +124,6 @@ func (p Path) StartType(s *hin.Schema) hin.TypeID {
 		return hin.NoType
 	}
 	return s.Relation(p.rels[0]).From
-}
-
-// EndType returns the destination type of the path, or hin.NoType for
-// the empty path.
-func (p Path) EndType(s *hin.Schema) hin.TypeID {
-	if len(p.rels) == 0 {
-		return hin.NoType
-	}
-	return s.Relation(p.rels[len(p.rels)-1]).To
 }
 
 // render produces the canonical type-sequence label, e.g. "A-P-V".
@@ -168,8 +141,8 @@ func (p Path) render(s *hin.Schema) string {
 }
 
 // String returns the canonical label computed at construction time.
-// Paths produced by Prefix have no cached label and render as a
-// relation count.
+// A Path literal built without a schema has no cached label and
+// renders as a relation count.
 func (p Path) String() string {
 	if p.label != "" {
 		return p.label
@@ -178,28 +151,6 @@ func (p Path) String() string {
 		return "∅"
 	}
 	return fmt.Sprintf("path(%d relations)", len(p.rels))
-}
-
-// Reverse returns the path walked backwards: each relation replaced
-// by its inverse, in reverse order. Walking p from e and asking for
-// the mass at v corresponds to walking p.Reverse from v and asking
-// about e's neighbourhood — useful for "which entities reach this
-// object" queries during debugging and candidate mining.
-func (p Path) Reverse(s *hin.Schema) Path {
-	rels := make([]hin.RelationID, len(p.rels))
-	for i, r := range p.rels {
-		rels[len(p.rels)-1-i] = s.Inverse(r)
-	}
-	return MustNew(s, rels...)
-}
-
-// Concat returns the path p followed by q. The end type of p must
-// equal the start type of q (checked by construction).
-func (p Path) Concat(s *hin.Schema, q Path) (Path, error) {
-	rels := make([]hin.RelationID, 0, len(p.rels)+len(q.rels))
-	rels = append(rels, p.rels...)
-	rels = append(rels, q.rels...)
-	return New(s, rels...)
 }
 
 // Key returns a canonical comparable key for the path based on its
@@ -217,17 +168,4 @@ func (p Path) Key() string {
 		b = strconv.AppendInt(b, int64(r), 10)
 	}
 	return string(b)
-}
-
-// Equal reports whether two paths have the same relation sequence.
-func (p Path) Equal(q Path) bool {
-	if len(p.rels) != len(q.rels) {
-		return false
-	}
-	for i := range p.rels {
-		if p.rels[i] != q.rels[i] {
-			return false
-		}
-	}
-	return true
 }

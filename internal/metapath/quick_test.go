@@ -1,6 +1,7 @@
 package metapath
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -46,18 +47,19 @@ func TestQuickWalksAreSubProbability(t *testing.T) {
 		w := NewWalker(g, 64)
 		for _, p := range DBLPPaperPaths(d) {
 			for _, a := range authors {
-				dist, err := w.Walk(a, p)
+				dist, err := w.Walk(context.Background(), a, p, 0)
 				if err != nil {
 					return false
 				}
 				sum := 0.0
 				ok := true
-				dist.ForEach(func(_ int32, x float64) {
+				_, distVal := dist.Raw()
+				for _, x := range distVal {
 					if x < 0 {
 						ok = false
 					}
 					sum += x
-				})
+				}
 				if !ok || sum > 1+1e-9 {
 					return false
 				}
@@ -78,18 +80,19 @@ func TestQuickWalkEndTypesRespectPath(t *testing.T) {
 		d, g, authors := randomDBLP(seed)
 		w := NewWalker(g, 64)
 		for _, p := range DBLPPaperPaths(d) {
-			end := p.EndType(d.Schema)
+			end := endType(d.Schema, p)
 			for _, a := range authors {
-				dist, err := w.Walk(a, p)
+				dist, err := w.Walk(context.Background(), a, p, 0)
 				if err != nil {
 					return false
 				}
 				ok := true
-				dist.ForEach(func(i int32, _ float64) {
+				distIdx, _ := dist.Raw()
+				for _, i := range distIdx {
 					if g.TypeOf(hin.ObjectID(i)) != end {
 						ok = false
 					}
-				})
+				}
 				if !ok {
 					return false
 				}
@@ -112,11 +115,11 @@ func TestQuickPrunedDominatedByExact(t *testing.T) {
 		w := NewWalker(g, 64)
 		p := MustParse(d.Schema, "A-P-A-P-V")
 		for _, a := range authors {
-			exact, err := w.Walk(a, p)
+			exact, err := w.Walk(context.Background(), a, p, 0)
 			if err != nil {
 				return false
 			}
-			pruned, err := w.WalkPruned(a, p, k)
+			pruned, err := w.Walk(context.Background(), a, p, k)
 			if err != nil {
 				return false
 			}
@@ -124,11 +127,13 @@ func TestQuickPrunedDominatedByExact(t *testing.T) {
 				return false
 			}
 			ok := true
-			pruned.ForEach(func(i int32, x float64) {
+			prunedIdx, prunedVal := pruned.Raw()
+			for k, i := range prunedIdx {
+				x := prunedVal[k]
 				if x > exact.Get(i)+1e-12 {
 					ok = false
 				}
-			})
+			}
 			if !ok {
 				return false
 			}

@@ -1,6 +1,7 @@
 package metapath
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -39,7 +40,7 @@ func TestWalkerShardedHitsAndMisses(t *testing.T) {
 	w := NewWalker(g, 2048)
 	apv := MustParse(d.Schema, "A-P-V")
 	for i := 0; i < 3; i++ {
-		if _, err := w.Walk(ids["wei"], apv); err != nil {
+		if _, err := w.Walk(context.Background(), ids["wei"], apv, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +55,7 @@ func TestWalkerShardStatsAggregate(t *testing.T) {
 	w := NewWalker(g, 2048)
 	for _, spec := range []string{"A-P-V", "A-P-A", "A-P-T", "A-P-Y", "A-P-A-P-V"} {
 		for _, e := range []string{"wei", "coauthor"} {
-			if _, err := w.Walk(ids[e], MustParse(d.Schema, spec)); err != nil {
+			if _, err := w.Walk(context.Background(), ids[e], MustParse(d.Schema, spec), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -91,7 +92,7 @@ func TestWalkerShardedCollect(t *testing.T) {
 	w := NewWalker(g, 2048)
 	apv := MustParse(d.Schema, "A-P-V")
 	for i := 0; i < 3; i++ {
-		if _, err := w.Walk(ids["wei"], apv); err != nil {
+		if _, err := w.Walk(context.Background(), ids["wei"], apv, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +127,7 @@ func TestWalkerShardedCollect(t *testing.T) {
 func TestWalkerSingleShardCollectOmitsShardSeries(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 2)
-	if _, err := w.Walk(ids["wei"], MustParse(d.Schema, "A-P-V")); err != nil {
+	if _, err := w.Walk(context.Background(), ids["wei"], MustParse(d.Schema, "A-P-V"), 0); err != nil {
 		t.Fatal(err)
 	}
 	w.Collect(func(name string, _ float64) {
@@ -134,21 +135,6 @@ func TestWalkerSingleShardCollectOmitsShardSeries(t *testing.T) {
 			t.Errorf("single-shard cache emitted per-shard series %q", name)
 		}
 	})
-}
-
-func TestWalkerShardedClearCache(t *testing.T) {
-	d, g, ids := paperExample(t)
-	w := NewWalker(g, 2048)
-	if _, err := w.Walk(ids["wei"], MustParse(d.Schema, "A-P-V")); err != nil {
-		t.Fatal(err)
-	}
-	w.ClearCache()
-	if st := w.CacheStats(); st.Entries != 0 {
-		t.Errorf("sharded cache holds %d entries after clear", st.Entries)
-	}
-	if st := w.CacheStats(); st.Misses != 1 {
-		t.Errorf("clear reset the miss counter: %+v", st)
-	}
 }
 
 // TestWalkerShardedConcurrentStress hammers a sharded cache from many
@@ -188,7 +174,7 @@ func TestWalkerShardedConcurrentStress(t *testing.T) {
 				e := ids[entities[k%len(entities)]]
 				p := paths[(k/2)%len(paths)]
 				prune := k / 20 // 10 distinct cache keys per (entity, path)
-				if _, err := w.WalkPruned(e, p, prune); err != nil {
+				if _, err := w.Walk(context.Background(), e, p, prune); err != nil {
 					errc <- err
 					return
 				}
@@ -198,7 +184,7 @@ func TestWalkerShardedConcurrentStress(t *testing.T) {
 	wg.Wait()
 	close(errc)
 	for err := range errc {
-		t.Fatalf("concurrent WalkPruned: %v", err)
+		t.Fatalf("concurrent pruned Walk: %v", err)
 	}
 
 	st := w.CacheStats()
@@ -219,7 +205,7 @@ func TestWalkerShardedConcurrentStress(t *testing.T) {
 	for _, en := range entities {
 		for _, p := range paths {
 			for prune := 0; prune < 10; prune++ {
-				if _, err := w.WalkPruned(ids[en], p, prune); err != nil {
+				if _, err := w.Walk(context.Background(), ids[en], p, prune); err != nil {
 					t.Fatal(err)
 				}
 				seen++

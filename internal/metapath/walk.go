@@ -121,9 +121,6 @@ func NewWalker(g *hin.Graph, cacheSize int) *Walker {
 	return w
 }
 
-// Graph returns the graph the walker operates on.
-func (w *Walker) Graph() *hin.Graph { return w.g }
-
 // shardFor maps a key to its stripe by FNV-1a over the key fields.
 func (w *Walker) shardFor(key walkKey) *walkShard {
 	if len(w.shards) == 1 {
@@ -147,35 +144,22 @@ func (w *Walker) shardFor(key walkKey) *walkShard {
 // result is an immutable frozen Dist, shared with the cache and every
 // other caller; Thaw it if a mutable copy is needed. Walking the
 // empty path returns the unit distribution at e.
-func (w *Walker) Walk(e hin.ObjectID, p Path) (sparse.Dist, error) {
-	return w.WalkPrunedContext(context.Background(), e, p, 0)
-}
-
-// WalkContext is Walk under a request context: cancellation is
-// checked before the walk starts and between relation hops, so a
-// client that disconnects mid-walk stops paying for the remaining
-// hops instead of completing the full distribution. A canceled walk
-// returns ctx.Err() and stores nothing in the cache.
-func (w *Walker) WalkContext(ctx context.Context, e hin.ObjectID, p Path) (sparse.Dist, error) {
-	return w.WalkPrunedContext(ctx, e, p, 0)
-}
-
-// WalkPruned is Walk with support pruning: after each relation hop,
-// only the maxSupport largest entries of the intermediate
-// distribution are kept (0 disables pruning). Pruned mass is dropped,
-// not redistributed, so the result is an entry-wise lower bound on
-// the exact distribution — the approximation a production deployment
-// uses when hub objects (a venue with a million papers) would blow up
+//
+// maxSupport > 0 prunes the support: after each relation hop, only
+// the maxSupport largest entries of the intermediate distribution are
+// kept (0 disables pruning). Pruned mass is dropped, not
+// redistributed, so the result is an entry-wise lower bound on the
+// exact distribution — the approximation a production deployment uses
+// when hub objects (a venue with a million papers) would blow up
 // intermediate frontiers. Pruned and exact walks are cached under
 // distinct keys.
-func (w *Walker) WalkPruned(e hin.ObjectID, p Path, maxSupport int) (sparse.Dist, error) {
-	return w.WalkPrunedContext(context.Background(), e, p, maxSupport)
-}
-
-// WalkPrunedContext is WalkPruned under a request context (see
-// WalkContext). An already-canceled context returns ctx.Err() before
-// any hop is expanded — not even the cache is consulted.
-func (w *Walker) WalkPrunedContext(ctx context.Context, e hin.ObjectID, p Path, maxSupport int) (sparse.Dist, error) {
+//
+// Cancellation is checked before the walk starts and between relation
+// hops, so a client that disconnects mid-walk stops paying for the
+// remaining hops. An already-canceled context returns ctx.Err()
+// before any hop is expanded — not even the cache is consulted — and
+// a canceled walk stores nothing in the cache.
+func (w *Walker) Walk(ctx context.Context, e hin.ObjectID, p Path, maxSupport int) (sparse.Dist, error) {
 	if err := ctx.Err(); err != nil {
 		w.canceled.Add(1)
 		return sparse.Dist{}, err
@@ -307,40 +291,15 @@ func ReferenceWalk(g *hin.Graph, e hin.ObjectID, p Path, maxSupport int) (sparse
 	return cur, nil
 }
 
-// WalkMixture returns the weighted combination Σ_p w_p · Pe(v|p)
+// WalkMixtureDist returns the weighted combination Σ_p w_p · Pe(v|p)
 // (Formula 12): the entity-specific object model for entity e under
-// the given path set and weight vector. The caller owns the returned
-// vector.
-func (w *Walker) WalkMixture(e hin.ObjectID, paths []Path, weights []float64) (sparse.Vector, error) {
-	return w.WalkMixturePruned(e, paths, weights, 0)
-}
-
-// WalkMixturePruned is WalkMixture with per-hop support pruning (see
-// WalkPruned).
-func (w *Walker) WalkMixturePruned(e hin.ObjectID, paths []Path, weights []float64, maxSupport int) (sparse.Vector, error) {
-	if len(paths) != len(weights) {
-		return nil, fmt.Errorf("metapath: %d paths with %d weights", len(paths), len(weights))
-	}
-	out := sparse.New()
-	for k, p := range paths {
-		if weights[k] == 0 {
-			continue
-		}
-		d, err := w.WalkPruned(e, p, maxSupport)
-		if err != nil {
-			return nil, err
-		}
-		d.ScaledAddTo(out, weights[k])
-	}
-	return out, nil
-}
-
-// WalkMixtureDist is WalkMixturePruned frozen: it accumulates the
-// weighted path distributions on a pooled dense accumulator and
-// returns an immutable Dist the caller may share freely. Per output
-// index, contributions are added in path order — the same sequence
-// as the map-backed mixture and as Model.logJoint's per-object path
-// loop — so all three agree bit-for-bit.
+// the given path set and weight vector, with per-hop support pruning
+// (see Walk). It accumulates the weighted path distributions on a
+// pooled dense accumulator and returns an immutable Dist the caller
+// may share freely. Per output index, contributions are added in path
+// order — the same sequence as sparse.MixDists and as
+// Model.logJoint's per-object path loop — so all three agree
+// bit-for-bit.
 func (w *Walker) WalkMixtureDist(e hin.ObjectID, paths []Path, weights []float64, maxSupport int) (sparse.Dist, error) {
 	return w.WalkMixtureDistContext(context.Background(), e, paths, weights, maxSupport)
 }
@@ -359,7 +318,7 @@ func (w *Walker) WalkMixtureDistContext(ctx context.Context, e hin.ObjectID, pat
 		if weights[k] == 0 {
 			continue
 		}
-		d, err := w.WalkPrunedContext(ctx, e, p, maxSupport)
+		d, err := w.Walk(ctx, e, p, maxSupport)
 		if err != nil {
 			return sparse.Dist{}, err
 		}
@@ -497,16 +456,5 @@ func (w *Walker) Collect(emit func(name string, value float64)) {
 		emit(fmt.Sprintf(`shine_walker_cache_shard_hits_total{shard="%d"}`, i), float64(ss.Hits))
 		emit(fmt.Sprintf(`shine_walker_cache_shard_misses_total{shard="%d"}`, i), float64(ss.Misses))
 		emit(fmt.Sprintf(`shine_walker_cache_shard_evictions_total{shard="%d"}`, i), float64(ss.Evictions))
-	}
-}
-
-// ClearCache discards all cached walk distributions, keeping the
-// hit/miss/eviction counters.
-func (w *Walker) ClearCache() {
-	for _, s := range w.shards {
-		s.mu.Lock()
-		s.cache = make(map[walkKey]*list.Element)
-		s.order = list.New()
-		s.mu.Unlock()
 	}
 }

@@ -2,6 +2,7 @@ package metapath
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -32,9 +33,9 @@ func TestWalkContextPreCanceled(t *testing.T) {
 	w := NewWalker(g, 16)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := w.WalkContext(ctx, ids["wei"], MustParse(d.Schema, "A-P-V"))
+	_, err := w.Walk(ctx, ids["wei"], MustParse(d.Schema, "A-P-V"), 0)
 	if err != context.Canceled {
-		t.Fatalf("WalkContext on canceled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("Walk on canceled ctx: err = %v, want context.Canceled", err)
 	}
 	st := w.WalkStats()
 	if st.Completed != 0 || st.Hops != 0 {
@@ -52,11 +53,11 @@ func TestWalkContextMidWalkCancel(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 16)
 	apv := MustParse(d.Schema, "A-P-V")
-	// Err() is consulted once at WalkPrunedContext entry and once
+	// Err() is consulted once at Walk entry and once
 	// before each of the two hops; budget 2 calls so the second hop's
 	// check fails.
 	ctx := newCountdownCtx(2)
-	if _, err := w.WalkContext(ctx, ids["wei"], apv); err != context.Canceled {
+	if _, err := w.Walk(ctx, ids["wei"], apv, 0); err != context.Canceled {
 		t.Fatalf("mid-walk cancel: err = %v, want context.Canceled", err)
 	}
 	st := w.WalkStats()
@@ -72,7 +73,7 @@ func TestWalkContextMidWalkCancel(t *testing.T) {
 
 	// The partial walk must not have been cached: a fresh walk on a
 	// live context recomputes from scratch and reports a cache miss.
-	dist, err := w.WalkContext(context.Background(), ids["wei"], apv)
+	dist, err := w.Walk(context.Background(), ids["wei"], apv, 0)
 	if err != nil {
 		t.Fatalf("Walk after canceled walk: %v", err)
 	}
@@ -102,29 +103,27 @@ func TestWalkMixtureDistContextCancel(t *testing.T) {
 	}
 }
 
-// TestWalkContextMatchesWalk: threading a live context changes
-// nothing about the result — same Dist, bit for bit.
+// TestWalkContextMatchesWalk: threading a live, cancelable context
+// changes nothing about the result — same Dist, bit for bit, as a walk
+// under context.Background.
 func TestWalkContextMatchesWalk(t *testing.T) {
 	d, g, ids := paperExample(t)
 	apv := MustParse(d.Schema, "A-P-V")
 	plain := NewWalker(g, 16)
-	want, err := plain.Walk(ids["wei"], apv)
+	want, err := plain.Walk(context.Background(), ids["wei"], apv, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	ctxed := NewWalker(g, 16)
-	got, err := ctxed.WalkContext(context.Background(), ids["wei"], apv)
+	got, err := ctxed.Walk(ctx, ids["wei"], apv, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Len() != got.Len() {
-		t.Fatalf("Len: %d vs %d", want.Len(), got.Len())
-	}
-	for k := 0; k < want.Len(); k++ {
-		wi, wv := want.At(k)
-		gi, gv := got.At(k)
-		if wi != gi || wv != gv {
-			t.Fatalf("entry %d: (%d,%v) vs (%d,%v)", k, wi, wv, gi, gv)
-		}
+	wi, wv := want.Raw()
+	gi, gv := got.Raw()
+	if !slices.Equal(wi, gi) || !slices.Equal(wv, gv) {
+		t.Fatalf("walk under a live context = %v, want %v", got, want)
 	}
 }

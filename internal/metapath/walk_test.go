@@ -1,6 +1,7 @@
 package metapath
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -50,7 +51,7 @@ func paperExample(t testing.TB) (*hin.DBLPSchema, *hin.Graph, map[string]hin.Obj
 func TestWalkEmptyPathIsUnit(t *testing.T) {
 	_, g, ids := paperExample(t)
 	w := NewWalker(g, 16)
-	d, err := w.Walk(ids["wei"], Path{})
+	d, err := w.Walk(context.Background(), ids["wei"], Path{}, 0)
 	if err != nil {
 		t.Fatalf("Walk: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestWalkAPVMatchesPaperRatios(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 16)
 	apv := MustParse(d.Schema, "A-P-V")
-	dist, err := w.Walk(ids["wei"], apv)
+	dist, err := w.Walk(context.Background(), ids["wei"], apv, 0)
 	if err != nil {
 		t.Fatalf("Walk: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestWalkAPACoauthors(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 16)
 	apa := MustParse(d.Schema, "A-P-A")
-	dist, err := w.Walk(ids["wei"], apa)
+	dist, err := w.Walk(context.Background(), ids["wei"], apa, 0)
 	if err != nil {
 		t.Fatalf("Walk: %v", err)
 	}
@@ -110,8 +111,8 @@ func TestWalkAPACoauthors(t *testing.T) {
 func TestWalkLength4DiffersFromLength2(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 16)
-	apv, _ := w.Walk(ids["wei"], MustParse(d.Schema, "A-P-V"))
-	apapv, err := w.Walk(ids["wei"], MustParse(d.Schema, "A-P-A-P-V"))
+	apv, _ := w.Walk(context.Background(), ids["wei"], MustParse(d.Schema, "A-P-V"), 0)
+	apapv, err := w.Walk(context.Background(), ids["wei"], MustParse(d.Schema, "A-P-A-P-V"), 0)
 	if err != nil {
 		t.Fatalf("Walk: %v", err)
 	}
@@ -140,7 +141,7 @@ func TestWalkMassDiesAtDeadEnds(t *testing.T) {
 	g := b.Build()
 
 	w := NewWalker(g, 16)
-	dist, err := w.Walk(a, MustParse(d.Schema, "A-P-V"))
+	dist, err := w.Walk(context.Background(), a, MustParse(d.Schema, "A-P-V"), 0)
 	if err != nil {
 		t.Fatalf("Walk: %v", err)
 	}
@@ -155,37 +156,41 @@ func TestWalkMassDiesAtDeadEnds(t *testing.T) {
 func TestWalkTypeMismatch(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 16)
-	if _, err := w.Walk(ids["sigmod"], MustParse(d.Schema, "A-P-V")); err == nil {
+	if _, err := w.Walk(context.Background(), ids["sigmod"], MustParse(d.Schema, "A-P-V"), 0); err == nil {
 		t.Error("walking an author path from a venue accepted")
 	}
-	if _, err := w.Walk(hin.ObjectID(10_000), MustParse(d.Schema, "A-P-V")); err == nil {
+	if _, err := w.Walk(context.Background(), hin.ObjectID(10_000), MustParse(d.Schema, "A-P-V"), 0); err == nil {
 		t.Error("walking from out-of-range object accepted")
 	}
 }
 
+// TestWalkMixture: the mixture Σ_p w_p·Pe(v|p) (Formula 12) equals
+// sparse.MixDists over the constituent walks, zero-weight paths
+// contribute nothing, and a weight vector of the wrong length is
+// rejected.
 func TestWalkMixture(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 16)
 	paths := []Path{MustParse(d.Schema, "A-P-V"), MustParse(d.Schema, "A-P-A")}
-	mix, err := w.WalkMixture(ids["wei"], paths, []float64{0.5, 0.5})
+	mix, err := w.WalkMixtureDist(ids["wei"], paths, []float64{0.5, 0.5}, 0)
 	if err != nil {
-		t.Fatalf("WalkMixture: %v", err)
+		t.Fatalf("WalkMixtureDist: %v", err)
 	}
-	apv, _ := w.Walk(ids["wei"], paths[0])
-	apa, _ := w.Walk(ids["wei"], paths[1])
-	want := sparse.Mix([]sparse.Vector{apv.Thaw(), apa.Thaw()}, []float64{0.5, 0.5})
+	apv, _ := w.Walk(context.Background(), ids["wei"], paths[0], 0)
+	apa, _ := w.Walk(context.Background(), ids["wei"], paths[1], 0)
+	want := sparse.MixDists([]sparse.Dist{apv, apa}, []float64{0.5, 0.5})
 	if !mix.Equal(want, 1e-12) {
 		t.Errorf("mixture = %v, want %v", mix, want)
 	}
 	// Zero-weight paths must be skipped entirely.
-	onlyAPV, err := w.WalkMixture(ids["wei"], paths, []float64{1, 0})
+	onlyAPV, err := w.WalkMixtureDist(ids["wei"], paths, []float64{1, 0}, 0)
 	if err != nil {
-		t.Fatalf("WalkMixture: %v", err)
+		t.Fatalf("WalkMixtureDist: %v", err)
 	}
-	if !onlyAPV.Equal(apv.Thaw(), 1e-12) {
+	if !onlyAPV.Equal(apv, 1e-12) {
 		t.Error("zero-weight path contributed mass")
 	}
-	if _, err := w.WalkMixture(ids["wei"], paths, []float64{1}); err == nil {
+	if _, err := w.WalkMixtureDist(ids["wei"], paths, []float64{1}, 0); err == nil {
 		t.Error("mismatched weights accepted")
 	}
 }
@@ -203,7 +208,7 @@ func TestUncachedWalkAllocs(t *testing.T) {
 	w := NewWalker(g, 0)
 	p := MustParse(d.Schema, "A-P-A-P-V")
 	walk := func() {
-		if _, err := w.Walk(ids["wei"], p); err != nil {
+		if _, err := w.Walk(context.Background(), ids["wei"], p, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,10 +225,10 @@ func TestWalkerCacheHitsAndEviction(t *testing.T) {
 	apa := MustParse(d.Schema, "A-P-A")
 	apt := MustParse(d.Schema, "A-P-T")
 
-	if _, err := w.Walk(ids["wei"], apv); err != nil {
+	if _, err := w.Walk(context.Background(), ids["wei"], apv, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Walk(ids["wei"], apv); err != nil {
+	if _, err := w.Walk(context.Background(), ids["wei"], apv, 0); err != nil {
 		t.Fatal(err)
 	}
 	st := w.CacheStats()
@@ -233,17 +238,17 @@ func TestWalkerCacheHitsAndEviction(t *testing.T) {
 
 	// Fill beyond capacity; the least recently used entry (apv after
 	// touching apa) must be evicted.
-	if _, err := w.Walk(ids["wei"], apa); err != nil {
+	if _, err := w.Walk(context.Background(), ids["wei"], apa, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Walk(ids["wei"], apt); err != nil {
+	if _, err := w.Walk(context.Background(), ids["wei"], apt, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := w.CacheStats(); st.Entries != 2 {
 		t.Errorf("cache entries = %d, want 2", st.Entries)
 	}
 	before := w.CacheStats().Misses
-	if _, err := w.Walk(ids["wei"], apv); err != nil {
+	if _, err := w.Walk(context.Background(), ids["wei"], apv, 0); err != nil {
 		t.Fatal(err)
 	}
 	if after := w.CacheStats().Misses; after != before+1 {
@@ -255,11 +260,11 @@ func TestWalkerCacheDisabled(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 0)
 	apv := MustParse(d.Schema, "A-P-V")
-	d1, err := w.Walk(ids["wei"], apv)
+	d1, err := w.Walk(context.Background(), ids["wei"], apv, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := w.Walk(ids["wei"], apv)
+	d2, err := w.Walk(context.Background(), ids["wei"], apv, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,18 +276,6 @@ func TestWalkerCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestWalkerClearCache(t *testing.T) {
-	d, g, ids := paperExample(t)
-	w := NewWalker(g, 16)
-	if _, err := w.Walk(ids["wei"], MustParse(d.Schema, "A-P-V")); err != nil {
-		t.Fatal(err)
-	}
-	w.ClearCache()
-	if st := w.CacheStats(); st.Entries != 0 {
-		t.Errorf("cache holds %d entries after clear", st.Entries)
-	}
-}
-
 func TestWalkerConcurrentUse(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 4)
@@ -291,7 +284,7 @@ func TestWalkerConcurrentUse(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func(i int) {
 			for j := 0; j < 50; j++ {
-				if _, err := w.Walk(ids["wei"], paths[(i+j)%len(paths)]); err != nil {
+				if _, err := w.Walk(context.Background(), ids["wei"], paths[(i+j)%len(paths)], 0); err != nil {
 					done <- err
 					return
 				}
@@ -310,22 +303,24 @@ func TestWalkPrunedSubsetOfExact(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 64)
 	p := MustParse(d.Schema, "A-P-A-P-V")
-	exact, err := w.Walk(ids["wei"], p)
+	exact, err := w.Walk(context.Background(), ids["wei"], p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := w.WalkPruned(ids["wei"], p, 2)
+	pruned, err := w.Walk(context.Background(), ids["wei"], p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pruned.Len() > 2 {
 		t.Fatalf("pruned support %d > 2", pruned.Len())
 	}
-	pruned.ForEach(func(i int32, x float64) {
+	prunedIdx, prunedVal := pruned.Raw()
+	for k, i := range prunedIdx {
+		x := prunedVal[k]
 		if x > exact.Get(i)+1e-12 {
 			t.Errorf("pruned[%d] = %v exceeds exact %v", i, x, exact.Get(i))
 		}
-	})
+	}
 	if pruned.Sum() > exact.Sum()+1e-12 {
 		t.Error("pruned mass exceeds exact mass")
 	}
@@ -335,13 +330,16 @@ func TestWalkPrunedZeroIsExact(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 64)
 	p := MustParse(d.Schema, "A-P-V")
-	exact, _ := w.Walk(ids["wei"], p)
-	viaPruned, err := w.WalkPruned(ids["wei"], p, 0)
+	exact, err := ReferenceWalk(g, ids["wei"], p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !exact.Equal(viaPruned, 0) {
-		t.Error("WalkPruned(0) differs from Walk")
+	viaPruned, err := w.Walk(context.Background(), ids["wei"], p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !viaPruned.Equal(sparse.Freeze(exact), 0) {
+		t.Error("Walk with maxSupport 0 differs from the exact reference walk")
 	}
 }
 
@@ -349,8 +347,8 @@ func TestWalkPrunedCacheKeysDistinct(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 64)
 	p := MustParse(d.Schema, "A-P-V")
-	exact, _ := w.Walk(ids["wei"], p)
-	pruned, err := w.WalkPruned(ids["wei"], p, 1)
+	exact, _ := w.Walk(context.Background(), ids["wei"], p, 0)
+	pruned, err := w.Walk(context.Background(), ids["wei"], p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +356,7 @@ func TestWalkPrunedCacheKeysDistinct(t *testing.T) {
 		t.Fatal("test needs a path with support > 1")
 	}
 	// Re-fetch both; the cache must not have mixed them up.
-	exact2, _ := w.Walk(ids["wei"], p)
+	exact2, _ := w.Walk(context.Background(), ids["wei"], p, 0)
 	if !exact.Equal(exact2, 0) {
 		t.Error("exact walk corrupted by pruned cache entry")
 	}
@@ -367,7 +365,7 @@ func TestWalkPrunedCacheKeysDistinct(t *testing.T) {
 func TestWalkPrunedRejectsNegative(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 4)
-	if _, err := w.WalkPruned(ids["wei"], MustParse(d.Schema, "A-P-V"), -1); err == nil {
+	if _, err := w.Walk(context.Background(), ids["wei"], MustParse(d.Schema, "A-P-V"), -1); err == nil {
 		t.Error("negative pruning bound accepted")
 	}
 }
@@ -376,11 +374,11 @@ func TestWalkMixturePruned(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 64)
 	paths := []Path{MustParse(d.Schema, "A-P-V"), MustParse(d.Schema, "A-P-A-P-V")}
-	mix, err := w.WalkMixturePruned(ids["wei"], paths, []float64{0.5, 0.5}, 1)
+	mix, err := w.WalkMixtureDist(ids["wei"], paths, []float64{0.5, 0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactMix, _ := w.WalkMixture(ids["wei"], paths, []float64{0.5, 0.5})
+	exactMix, _ := w.WalkMixtureDist(ids["wei"], paths, []float64{0.5, 0.5}, 0)
 	if mix.Sum() > exactMix.Sum()+1e-12 {
 		t.Error("pruned mixture mass exceeds exact")
 	}
@@ -390,7 +388,7 @@ func TestWalkerEvictionCounter(t *testing.T) {
 	d, g, ids := paperExample(t)
 	w := NewWalker(g, 2)
 	for _, spec := range []string{"A-P-V", "A-P-A", "A-P-T"} {
-		if _, err := w.Walk(ids["wei"], MustParse(d.Schema, spec)); err != nil {
+		if _, err := w.Walk(context.Background(), ids["wei"], MustParse(d.Schema, spec), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -408,7 +406,7 @@ func TestWalkerCollect(t *testing.T) {
 	w := NewWalker(g, 2)
 	apv := MustParse(d.Schema, "A-P-V")
 	for i := 0; i < 3; i++ {
-		if _, err := w.Walk(ids["wei"], apv); err != nil {
+		if _, err := w.Walk(context.Background(), ids["wei"], apv, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

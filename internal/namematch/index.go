@@ -1,7 +1,6 @@
 package namematch
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -91,41 +90,3 @@ func sortedUnique(ids []hin.ObjectID) []hin.ObjectID {
 	slices.Sort(ids)
 	return slices.Compact(ids)
 }
-
-// AmbiguousNames returns, for each (first, last) key shared by at
-// least minEntities distinct entities, one representative surface
-// form "First Last" along with the entity count. The result is sorted
-// by descending count, then by name. This is how the experiment
-// harness discovers "Wei Wang"-style ambiguity groups to build test
-// mentions from.
-func (idx *Index) AmbiguousNames(minEntities int) []AmbiguousName {
-	var out []AmbiguousName
-	for _, group := range idx.byKey {
-		if len(group) < minEntities {
-			continue
-		}
-		n := group[0].name
-		surface := n.First + " " + n.Last
-		if n.First == "" {
-			surface = n.Last
-		}
-		out = append(out, AmbiguousName{Surface: surface, Count: len(group)})
-	}
-	slices.SortFunc(out, func(a, b AmbiguousName) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
-		}
-		return cmp.Compare(a.Surface, b.Surface)
-	})
-	return out
-}
-
-// AmbiguousName is one shared surface form and how many entities
-// carry it.
-type AmbiguousName struct {
-	Surface string
-	Count   int
-}
-
-// NumKeys returns the number of distinct (first, last) blocking keys.
-func (idx *Index) NumKeys() int { return len(idx.byKey) }

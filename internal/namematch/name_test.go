@@ -148,28 +148,6 @@ func TestIndexCandidates(t *testing.T) {
 	}
 }
 
-func TestIndexAmbiguousNames(t *testing.T) {
-	d, g := buildAuthorGraph(t,
-		"Wei Wang 0001", "Wei Wang 0002", "Wei Wang 0003",
-		"Eric Martin 0001", "Eric Martin 0002",
-		"Solo Author",
-	)
-	idx, err := BuildIndex(g, d.Author)
-	if err != nil {
-		t.Fatalf("BuildIndex: %v", err)
-	}
-	amb := idx.AmbiguousNames(2)
-	if len(amb) != 2 {
-		t.Fatalf("AmbiguousNames = %v, want 2 groups", amb)
-	}
-	if amb[0].Surface != "wei wang" || amb[0].Count != 3 {
-		t.Errorf("top group = %+v", amb[0])
-	}
-	if amb[1].Surface != "eric martin" || amb[1].Count != 2 {
-		t.Errorf("second group = %+v", amb[1])
-	}
-}
-
 func TestBuildIndexErrors(t *testing.T) {
 	d, g := buildAuthorGraph(t, "Wei Wang")
 	if _, err := BuildIndex(g, d.Venue); err == nil {

@@ -136,21 +136,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.bounds[len(h.bounds)-1]
 }
-
-// HistogramSummary condenses a histogram for logs and reports.
-type HistogramSummary struct {
-	Count         uint64
-	Sum           float64
-	P50, P95, P99 float64
-}
-
-// Summary returns count, sum and the p50/p95/p99 estimates.
-func (h *Histogram) Summary() HistogramSummary {
-	return HistogramSummary{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
-}

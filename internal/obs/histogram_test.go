@@ -47,9 +47,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if q := h.Quantile(-1); q != h.Quantile(0) {
 		t.Errorf("q<0 not clamped: %v", q)
 	}
-	s := h.Summary()
-	if s.Count != 100 || s.P50 != p50 || s.P99 != p99 {
-		t.Errorf("summary = %+v", s)
+	if n := h.Count(); n != 100 {
+		t.Errorf("count = %d, want 100", n)
 	}
 }
 

@@ -204,10 +204,9 @@ func (s *Server) respondCtxError(w http.ResponseWriter, err error) {
 
 // SetReady overrides the readiness reported by GET /v1/readyz. New
 // returns a ready server; a deployment flips readiness off before
-// maintenance that must not race with traffic (Model.Rebind,
-// Model.SetGeneric), lets the load balancer drain, and flips it back
-// after. Liveness (GET /v1/healthz) is unaffected — the process is
-// alive either way.
+// maintenance, lets the load balancer drain, and flips it back after.
+// Liveness (GET /v1/healthz) is unaffected — the process is alive
+// either way.
 func (s *Server) SetReady(ready bool) {
 	s.ready.Store(ready)
 	if ready {
@@ -216,9 +215,6 @@ func (s *Server) SetReady(ready bool) {
 		s.lifecycle.ready.Set(0)
 	}
 }
-
-// Ready reports the current readiness state.
-func (s *Server) Ready() bool { return s.ready.Load() }
 
 // handleReadyz is the readiness probe: 200 when the server should
 // receive traffic, 503 while it should be drained. Distinct from

@@ -118,7 +118,7 @@ func (s *Server) loadGeneration() (snapshot.Info, *serving, error) {
 		}
 	}
 	info := snap.Info()
-	sv, err := buildServing(m, s.ingestCfg, s.entityTypeOpt, s.minPosterior, &info)
+	sv, err := buildServing(m, s.ingestCfg, s.minPosterior, &info)
 	if err != nil {
 		return snapshot.Info{}, nil, err
 	}

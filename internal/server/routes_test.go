@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"shine/internal/shine"
 )
 
 // TestMetricsLifecycleSeries: the request-lifecycle series all appear
@@ -31,10 +33,16 @@ func TestMetricsLifecycleSeries(t *testing.T) {
 		"shine_walker_walks_total",
 		"shine_walker_walk_hops_total",
 		"shine_walker_walks_canceled_total",
+		shine.MetricCentralityWarmIterations,
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("exposition missing %s", series)
 		}
+	}
+	// The centrality gauges have one name each; the retired
+	// shine_pagerank_* twins must not come back.
+	if strings.Contains(body, "shine_pagerank_") {
+		t.Error("exposition still carries a shine_pagerank_ series")
 	}
 	if !strings.Contains(body, MetricReady+" 1") {
 		t.Errorf("%s should read 1 on a fresh server", MetricReady)

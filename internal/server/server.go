@@ -64,11 +64,6 @@ type serving struct {
 	model     *shine.Model
 	ingester  *corpus.Ingester
 	annotator *annotate.Annotator
-	// cands answers /v1/candidates — exact, loose (first-initial) and,
-	// when the source supports it, fuzzy retrieval. Usually the
-	// model's own trie; a separate index only when Options.EntityType
-	// overrides the model's entity type.
-	cands shine.CandidateSource
 	// snapInfo identifies the snapshot artifact this generation was
 	// loaded from; nil when the model was built in-process.
 	snapInfo *snapshot.Info
@@ -84,10 +79,9 @@ type Server struct {
 	// Rebuild inputs Reload needs to derive a fresh generation from a
 	// new model: the ingestion config and the Options that shaped the
 	// original bundle.
-	ingestCfg     corpus.IngestConfig
-	entityTypeOpt hin.TypeID
-	minPosterior  float64
-	precompute    bool
+	ingestCfg    corpus.IngestConfig
+	minPosterior float64
+	precompute   bool
 	// fuzzyDistance is the serving-path fuzzy fallback distance; it is
 	// reapplied to every hot-swapped model so -fuzzy survives reloads.
 	fuzzyDistance int
@@ -157,9 +151,6 @@ type Options struct {
 	// Logger, when set, logs one line per request (method, path,
 	// status, duration).
 	Logger *log.Logger
-	// EntityType is the type whose names /v1/candidates searches. The
-	// zero value uses the type the model's meta-paths start at.
-	EntityType hin.TypeID
 	// Metrics, when set, receives all request and model
 	// instrumentation; when nil the server creates a private registry.
 	// Share one registry between training and serving so EM metrics
@@ -214,8 +205,8 @@ type Options struct {
 }
 
 // buildServing derives one serving generation from a model: the
-// ingestion pipeline, the annotator and the loose candidate index.
-func buildServing(m *shine.Model, ingestCfg corpus.IngestConfig, entityTypeOpt hin.TypeID, minPosterior float64, snapInfo *snapshot.Info) (*serving, error) {
+// ingestion pipeline and the annotator.
+func buildServing(m *shine.Model, ingestCfg corpus.IngestConfig, minPosterior float64, snapInfo *snapshot.Info) (*serving, error) {
 	ing, err := corpus.NewIngester(m.Graph(), ingestCfg)
 	if err != nil {
 		return nil, err
@@ -224,26 +215,7 @@ func buildServing(m *shine.Model, ingestCfg corpus.IngestConfig, entityTypeOpt h
 	if err != nil {
 		return nil, err
 	}
-	entityType := entityTypeOpt
-	if entityType <= 0 {
-		paths := m.Paths()
-		if len(paths) == 0 {
-			return nil, fmt.Errorf("server: model has no meta-paths to infer the entity type from")
-		}
-		entityType = paths[0].StartType(m.Graph().Schema())
-	}
-	// The model already carries a frozen trie over its own entity
-	// type; only an explicit override to a different type needs a
-	// separate index.
-	cands := m.CandidateSource()
-	if entityType != m.EntityType() {
-		trie, err := surftrie.Build(m.Graph(), entityType)
-		if err != nil {
-			return nil, fmt.Errorf("server: indexing entity names: %w", err)
-		}
-		cands = trie
-	}
-	return &serving{model: m, ingester: ing, annotator: ann, cands: cands, snapInfo: snapInfo}, nil
+	return &serving{model: m, ingester: ing, annotator: ann, snapInfo: snapInfo}, nil
 }
 
 // New builds a server over a (typically trained) model.
@@ -269,7 +241,7 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 	if err := m.SetFuzzyDistance(opts.FuzzyDistance); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	sv, err := buildServing(m, ingestCfg, opts.EntityType, opts.MinPosterior, opts.SnapshotInfo)
+	sv, err := buildServing(m, ingestCfg, opts.MinPosterior, opts.SnapshotInfo)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +255,6 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 	s := &Server{
 		mux:            http.NewServeMux(),
 		ingestCfg:      ingestCfg,
-		entityTypeOpt:  opts.EntityType,
 		minPosterior:   opts.MinPosterior,
 		precompute:     opts.Precompute,
 		fuzzyDistance:  opts.FuzzyDistance,
@@ -352,7 +323,7 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 	}
 	// Construction (including any eager precompute above) is done;
 	// the server can take traffic. Deployments flip this off around
-	// Rebind/SetGeneric maintenance via SetReady.
+	// maintenance via SetReady.
 	s.SetReady(true)
 	return s, nil
 }
@@ -625,10 +596,11 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sv := s.serving.Load()
+	src := sv.model.CandidateSource()
 	var cands []hin.ObjectID
 	switch {
 	case fuzzy:
-		fz, ok := sv.cands.(shine.FuzzyCandidateSource)
+		fz, ok := src.(shine.FuzzyCandidateSource)
 		if !ok {
 			httpError(w, http.StatusBadRequest, "candidate source does not support fuzzy retrieval")
 			return
@@ -639,9 +611,9 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 		}
 		cands = fz.FuzzyCandidates(mention, dist)
 	case loose:
-		cands = sv.cands.LooseCandidates(mention)
+		cands = src.LooseCandidates(mention)
 	default:
-		cands = sv.cands.Candidates(mention)
+		cands = src.Candidates(mention)
 	}
 	g := sv.model.Graph()
 	resp := candidatesResponse{Mention: mention, Loose: loose, Fuzzy: fuzzy, Candidates: []entityResponse{}}

@@ -228,7 +228,7 @@ func (s *Server) Update(r io.Reader) (shine.UpdateStats, error) {
 			return zero, fmt.Errorf("server: precomputing mixtures: %w", err)
 		}
 	}
-	nsv, err := buildServing(m2, s.ingestCfg, s.entityTypeOpt, s.minPosterior, sv.snapInfo)
+	nsv, err := buildServing(m2, s.ingestCfg, s.minPosterior, sv.snapInfo)
 	if err != nil {
 		s.delta.failures.Inc()
 		return zero, err

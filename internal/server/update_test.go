@@ -77,8 +77,8 @@ func TestUpdateEndpoint(t *testing.T) {
 	// The warm-iterations gauge appears in the exposition (PageRank
 	// popularity is the default for testServer models).
 	mw := do(s, http.MethodGet, "/metrics", "")
-	if !strings.Contains(mw.Body.String(), shine.MetricPageRankWarmIterations) {
-		t.Errorf("exposition missing %s", shine.MetricPageRankWarmIterations)
+	if !strings.Contains(mw.Body.String(), shine.MetricCentralityWarmIterations) {
+		t.Errorf("exposition missing %s", shine.MetricCentralityWarmIterations)
 	}
 }
 
@@ -311,9 +311,9 @@ func FuzzDeltaPatch(f *testing.F) {
 		if err := merged.Validate(); err != nil {
 			t.Fatalf("merged graph invalid: %v\nline: %q", err, line)
 		}
-		if stats.NewObjects != delta.NumObjects() || stats.NewEdges != delta.NumEdges() {
-			t.Fatalf("stats %+v disagree with delta (%d objects, %d edges)",
-				stats, delta.NumObjects(), delta.NumEdges())
+		if merged.NumObjects() != g.NumObjects()+stats.NewObjects || merged.NumLinks() != g.NumLinks()+stats.NewEdges {
+			t.Fatalf("stats %+v disagree with the merge (%d -> %d objects, %d -> %d links)",
+				stats, g.NumObjects(), merged.NumObjects(), g.NumLinks(), merged.NumLinks())
 		}
 		merged.TotalDegrees() // must not panic: degree cache sealed
 	})

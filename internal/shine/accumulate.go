@@ -37,17 +37,6 @@ func parallelFor(n, workers int, fn func(i int)) {
 	par.For(n, workers, fn)
 }
 
-// numReduceBlocks is the number of fixed-size blocks covering n items.
-func numReduceBlocks(n int) int {
-	return par.NumBlocks(n, reduceBlockSize)
-}
-
-// runBlocks invokes fn(block, lo, hi) for every reduction block
-// covering [0, n), fanning blocks out over up to workers goroutines.
-func runBlocks(n, workers int, fn func(block, lo, hi int)) {
-	par.Blocks(n, reduceBlockSize, workers, fn)
-}
-
 // reduceSum computes Σ compute(block) over [0, n) with block partials
 // merged in block-index order. Bit-for-bit identical for any worker
 // count.

@@ -39,8 +39,8 @@ func (m *Model) CandidateSource() CandidateSource { return m.cands }
 
 // SetCandidateSource replaces the model's candidate generator —
 // primarily a testing seam for running the serving path against the
-// brute-force namematch oracle. Like SetGeneric, it must not race
-// with concurrent Link calls.
+// brute-force namematch oracle. It must not race with concurrent Link
+// calls.
 func (m *Model) SetCandidateSource(s CandidateSource) {
 	m.cands = s
 	m.trie, _ = s.(*surftrie.Trie)

@@ -54,28 +54,14 @@ func TestLearnClampsMutatedWorkers(t *testing.T) {
 	}
 }
 
-// TestLinkAllParallelClampsWorkers: negative and zero worker requests
-// must degrade to GOMAXPROCS, and worker counts beyond the document
-// count must not stall the job channel.
-func TestLinkAllParallelClampsWorkers(t *testing.T) {
+// TestLinkStreamClampsWorkers: negative and zero worker requests
+// degrade to GOMAXPROCS, and worker counts beyond the document count
+// must not stall the pipeline; every clamped stream still matches Link.
+func TestLinkStreamClampsWorkers(t *testing.T) {
 	f := newFixture(t)
 	m := newModel(t, f, nil)
-	want, err := m.LinkAll(f.corpus)
-	if err != nil {
-		t.Fatalf("LinkAll: %v", err)
-	}
-	for _, workers := range []int{-7, 0, 1, 1000} {
-		got, failures, err := m.LinkAllParallel(f.corpus, workers)
-		if err != nil {
-			t.Fatalf("LinkAllParallel(workers=%d): %v", workers, err)
-		}
-		if failures != 0 {
-			t.Errorf("LinkAllParallel(workers=%d): %d failures", workers, failures)
-		}
-		for i := range want {
-			if got[i].Entity != want[i].Entity {
-				t.Errorf("workers=%d doc %d: entity %d, want %d", workers, i, got[i].Entity, want[i].Entity)
-			}
-		}
+	want := linkEach(t, m, f.corpus.Docs)
+	for _, workers := range []int{-7, 0, 1000} {
+		requireStreamMatchesLink(t, m, f.corpus.Docs, want, workers)
 	}
 }

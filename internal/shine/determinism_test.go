@@ -61,10 +61,7 @@ func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 	ds := determinismDataset(t)
 	base, baseStats := trainWithWorkers(t, ds, 1)
 
-	baseResults, _, err := base.LinkAllParallel(ds.Corpus, 1)
-	if err != nil {
-		t.Fatalf("LinkAllParallel: %v", err)
-	}
+	baseResults := linkAll(base, ds.Corpus.Docs, 1)
 
 	for _, workers := range []int{4, 8} {
 		m, stats := trainWithWorkers(t, ds, workers)
@@ -98,17 +95,14 @@ func TestLearnDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 
-		results, _, err := m.LinkAllParallel(ds.Corpus, workers)
-		if err != nil {
-			t.Fatalf("LinkAllParallel(workers=%d): %v", workers, err)
-		}
+		results := linkAll(m, ds.Corpus.Docs, workers)
 		for i := range baseResults {
-			if results[i].Entity != baseResults[i].Entity {
+			if results[i].Result.Entity != baseResults[i].Result.Entity {
 				t.Errorf("workers=%d doc %d: linked to %d, serial linked to %d",
-					workers, i, results[i].Entity, baseResults[i].Entity)
+					workers, i, results[i].Result.Entity, baseResults[i].Result.Entity)
 			}
-			for ci := range baseResults[i].Candidates {
-				got, want := results[i].Candidates[ci], baseResults[i].Candidates[ci]
+			for ci := range baseResults[i].Result.Candidates {
+				got, want := results[i].Result.Candidates[ci], baseResults[i].Result.Candidates[ci]
 				if got.Entity != want.Entity || !sameBits(got.Posterior, want.Posterior) ||
 					!sameBits(got.LogJoint, want.LogJoint) {
 					t.Errorf("workers=%d doc %d candidate %d: %+v != serial %+v",

@@ -55,7 +55,7 @@ type LearnStats struct {
 // accumulate.go) make the learned weights bit-for-bit identical for
 // every worker count. Learn may run concurrently with Link calls —
 // readers see the old weight vector until the final install — but
-// must not race with another Learn, SetWeights or Rebind.
+// must not race with another Learn or SetWeights.
 func (m *Model) Learn(c *corpus.Corpus) (*LearnStats, error) {
 	prepStart := time.Now()
 	mds, skipped, err := m.prepareCorpus(c)

@@ -45,80 +45,6 @@ type ObjectContribution struct {
 	LogOdds float64
 }
 
-// PathImportance is one meta-path's leave-one-out effect on a
-// linking decision.
-type PathImportance struct {
-	// Path is the meta-path notation.
-	Path string
-	// Weight is its current learned weight.
-	Weight float64
-	// MarginDrop is how much the winner's log-odds margin over the
-	// runner-up shrinks when this path is removed (its weight
-	// redistributed over the rest). Positive means the path supports
-	// the decision; negative means it argues against it.
-	MarginDrop float64
-}
-
-// ExplainPaths measures each meta-path's leave-one-out importance for
-// the document's linking decision: the complement of Explain's
-// object-level view, and the per-decision analogue of the global
-// learned weights (the paper's Section 5.5 analysis). The winner and
-// runner-up are fixed by the full model; paths are then removed one
-// at a time.
-func (m *Model) ExplainPaths(doc *corpus.Document) ([]PathImportance, error) {
-	cands := m.lookupCandidates(doc.Mention)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoCandidates, doc.Mention)
-	}
-	md, err := m.prepareMention(context.Background(), doc, cands)
-	if err != nil {
-		return nil, err
-	}
-	weights := m.snapshotWeights()
-	logs := make([]float64, len(cands))
-	for i := range md.cands {
-		logs[i] = m.logJoint(md, i, weights)
-	}
-	win, run := 0, -1
-	for i := 1; i < len(cands); i++ {
-		if logs[i] > logs[win] {
-			win = i
-		}
-	}
-	for i := range cands {
-		if i != win && (run < 0 || logs[i] > logs[run]) {
-			run = i
-		}
-	}
-	out := make([]PathImportance, len(m.paths))
-	baseMargin := 0.0
-	if run >= 0 {
-		baseMargin = logs[win] - logs[run]
-	}
-	loo := make([]float64, len(weights))
-	for pi := range m.paths {
-		copy(loo, weights)
-		loo[pi] = 0
-		project(loo)
-		margin := 0.0
-		if run >= 0 {
-			margin = m.logJoint(md, win, loo) - m.logJoint(md, run, loo)
-		}
-		out[pi] = PathImportance{
-			Path:       m.paths[pi].String(),
-			Weight:     weights[pi],
-			MarginDrop: baseMargin - margin,
-		}
-	}
-	slices.SortFunc(out, func(pa, pb PathImportance) int {
-		if pa.MarginDrop != pb.MarginDrop {
-			return cmp.Compare(pb.MarginDrop, pa.MarginDrop)
-		}
-		return cmp.Compare(pa.Path, pb.Path)
-	})
-	return out, nil
-}
-
 // Explain links the document and decomposes the decision. It is the
 // production answer to "why did this mention link there?".
 func (m *Model) Explain(doc *corpus.Document) (Explanation, error) {

@@ -7,6 +7,7 @@ import (
 
 	"shine/internal/corpus"
 	"shine/internal/hin"
+	"shine/internal/metapath"
 )
 
 func TestExplainDecomposesExactly(t *testing.T) {
@@ -86,7 +87,7 @@ func TestExplainNoCandidates(t *testing.T) {
 func TestExplainAgreesWithLink(t *testing.T) {
 	ds := integrationDataset(t)
 	d := ds.Data.Schema
-	m, err := New(ds.Data.Graph, d.Author, pathsFor(t, d), ds.Corpus, DefaultConfig())
+	m, err := New(ds.Data.Graph, d.Author, metapath.DBLPPaperPaths(d), ds.Corpus, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,59 +105,6 @@ func TestExplainAgreesWithLink(t *testing.T) {
 		}
 		if ex.Entity != r.Entity {
 			t.Errorf("doc %s: Explain winner %d != Link winner %d", doc.ID, ex.Entity, r.Entity)
-		}
-	}
-}
-
-func TestExplainPaths(t *testing.T) {
-	f := newFixture(t)
-	m := newModel(t, f, nil)
-	imps, err := m.ExplainPaths(f.docA)
-	if err != nil {
-		t.Fatalf("ExplainPaths: %v", err)
-	}
-	if len(imps) != len(m.Paths()) {
-		t.Fatalf("got %d importances for %d paths", len(imps), len(m.Paths()))
-	}
-	// Sorted by descending margin drop.
-	for i := 1; i < len(imps); i++ {
-		if imps[i].MarginDrop > imps[i-1].MarginDrop+1e-12 {
-			t.Error("importances not sorted")
-		}
-	}
-	// At least one path must materially support the decision.
-	if imps[0].MarginDrop <= 0 {
-		t.Errorf("no path supports the decision: top drop %v", imps[0].MarginDrop)
-	}
-	// Weights echo the model's weights.
-	sum := 0.0
-	for _, im := range imps {
-		sum += im.Weight
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("reported weights sum to %v", sum)
-	}
-}
-
-func TestExplainPathsNoCandidates(t *testing.T) {
-	f := newFixture(t)
-	m := newModel(t, f, nil)
-	if _, err := m.ExplainPaths(corpus.NewDocument("x", "Unknown Person", hin.NoObject, nil)); !errors.Is(err, ErrNoCandidates) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestExplainPathsSingleCandidate(t *testing.T) {
-	f := newFixture(t)
-	m := newModel(t, f, nil)
-	doc := corpus.NewDocument("x", "Eric Martin", f.ids["martin"], []hin.ObjectID{f.ids["nips"]})
-	imps, err := m.ExplainPaths(doc)
-	if err != nil {
-		t.Fatalf("ExplainPaths: %v", err)
-	}
-	for _, im := range imps {
-		if im.MarginDrop != 0 {
-			t.Errorf("single-candidate margin drop %v for %s", im.MarginDrop, im.Path)
 		}
 	}
 }

@@ -25,9 +25,6 @@ const (
 	// MetricLinkNIL counts NIL decisions — mentions resolved to no
 	// entity.
 	MetricLinkNIL = "shine_link_nil_total"
-	// MetricBatchFailures counts per-document failures inside batch
-	// linking (LinkAllParallel) — the partial-failure signal.
-	MetricBatchFailures = "shine_link_batch_failures_total"
 	// MetricEMIterations counts EM iterations across Learn calls.
 	MetricEMIterations = "shine_em_iterations_total"
 	// MetricEMIterationSeconds is the per-EM-iteration duration
@@ -42,30 +39,21 @@ const (
 	// complete-data log-likelihood term of Formula 22) after the most
 	// recent EM iteration.
 	MetricEMLogLikelihood = "shine_em_log_likelihood"
-	// MetricPageRankSeconds is the wall-clock of the most recent
-	// offline whole-network PageRank run (Model construction or
-	// Rebind); 0 under the uniform popularity model.
-	MetricPageRankSeconds = "shine_pagerank_seconds"
-	// MetricPageRankIterations is the power-iteration count of the
-	// most recent PageRank run.
-	MetricPageRankIterations = "shine_pagerank_iterations"
-	// MetricPageRankWarmIterations is the sweep count of the most
-	// recent warm-started PageRank refresh (Model.WithDelta); 0 for a
-	// cold-built model. Compare against shine_pagerank_iterations to
-	// see what the warm start saved.
-	MetricPageRankWarmIterations = "shine_pagerank_warm_iterations"
 	// MetricCentralityBackend is an info-style gauge: the series
 	// labelled with the serving model's centrality backend name
 	// (backend="pagerank"|"degree"|"hits"|"ppr") is set to 1.
 	MetricCentralityBackend = "shine_centrality_backend"
-	// MetricCentralitySeconds / MetricCentralityIterations mirror the
-	// shine_pagerank_* gauges for the configured centrality backend —
-	// the wall-clock and iteration count of the most recent offline
-	// popularity run, whichever backend produced it. The legacy
-	// shine_pagerank_* names keep reporting the same values for
-	// dashboard continuity.
+	// MetricCentralitySeconds / MetricCentralityIterations are the
+	// wall-clock and iteration count of the most recent offline
+	// popularity run, whichever backend produced it; 0 under the
+	// uniform popularity model.
 	MetricCentralitySeconds    = "shine_centrality_seconds"
 	MetricCentralityIterations = "shine_centrality_iterations"
+	// MetricCentralityWarmIterations is the sweep count of the most
+	// recent warm-started popularity refresh (Model.WithDelta); 0 for
+	// a cold-built model. Compare against shine_centrality_iterations
+	// to see what the warm start saved.
+	MetricCentralityWarmIterations = "shine_centrality_warm_iterations"
 	// MetricCentralityColdRestarts counts incremental updates
 	// (Model.WithDelta) whose popularity refresh could not warm-start
 	// and ran cold instead — HITS always lands here (no warm
@@ -87,7 +75,7 @@ const (
 	// PrecomputeMixtures.
 	MetricMixtureBuilds = "shine_mixture_builds_total"
 	// MetricMixtureInvalidations counts full index flushes (weight
-	// installs, rebinds).
+	// installs).
 	MetricMixtureInvalidations = "shine_mixture_invalidations_total"
 	// MetricCandidatesLookups counts serving-path candidate lookups
 	// (one per linked/explained mention).
@@ -138,16 +126,13 @@ type modelMetrics struct {
 	linkTotal      *obs.Counter
 	linkFailures   *obs.Counter
 	linkNIL        *obs.Counter
-	batchFailures  *obs.Counter
 	emIterations   *obs.Counter
 	emIterSeconds  *obs.Histogram
 	emPrepSeconds  *obs.Histogram
 	emLogLik       *obs.Gauge
-	prSeconds      *obs.Gauge
-	prIterations   *obs.Gauge
-	prWarmIters    *obs.Gauge
 	cenSeconds     *obs.Gauge
 	cenIterations  *obs.Gauge
+	cenWarmIters   *obs.Gauge
 	cenColdStarts  *obs.Counter
 	candLookups    *obs.Counter
 	candFuzzy      *obs.Counter
@@ -163,10 +148,9 @@ type modelMetrics struct {
 // as a collector so its hit/miss/eviction counters appear in the
 // registry's exposition. A nil registry removes instrumentation.
 //
-// Call before serving traffic or learning; like SetWeights, SetMetrics
-// must not race with concurrent Link calls. Calling it again with the
-// same registry is idempotent. After Rebind (which replaces the
-// walker), call SetMetrics again to scrape the new walker's cache.
+// Call before serving traffic or learning; SetMetrics must not race
+// with concurrent Link calls. Calling it again with the same registry
+// is idempotent.
 func (m *Model) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		m.metrics = nil
@@ -180,16 +164,13 @@ func (m *Model) SetMetrics(reg *obs.Registry) {
 		linkTotal:      reg.Counter(MetricLinkTotal),
 		linkFailures:   reg.Counter(MetricLinkFailures),
 		linkNIL:        reg.Counter(MetricLinkNIL),
-		batchFailures:  reg.Counter(MetricBatchFailures),
 		emIterations:   reg.Counter(MetricEMIterations),
 		emIterSeconds:  reg.Histogram(MetricEMIterationSeconds, nil),
 		emPrepSeconds:  reg.Histogram(MetricEMPrepareSeconds, nil),
 		emLogLik:       reg.Gauge(MetricEMLogLikelihood),
-		prSeconds:      reg.Gauge(MetricPageRankSeconds),
-		prIterations:   reg.Gauge(MetricPageRankIterations),
-		prWarmIters:    reg.Gauge(MetricPageRankWarmIterations),
 		cenSeconds:     reg.Gauge(MetricCentralitySeconds),
 		cenIterations:  reg.Gauge(MetricCentralityIterations),
+		cenWarmIters:   reg.Gauge(MetricCentralityWarmIterations),
 		cenColdStarts:  reg.Counter(MetricCentralityColdRestarts),
 		candLookups:    reg.Counter(MetricCandidatesLookups),
 		candFuzzy:      reg.Counter(MetricCandidatesFuzzy),
@@ -206,8 +187,8 @@ func (m *Model) SetMetrics(reg *obs.Registry) {
 	// The offline centrality run happened during construction (or
 	// during the WithDelta that produced this generation), before any
 	// registry was attached; publish the recorded run so the gauges are
-	// correct from the first scrape. Rebind refreshes them.
-	m.metrics.observePageRank(m.prSeconds, m.prIterations, m.prWarmIterations)
+	// correct from the first scrape.
+	m.metrics.observeCentrality(m.prSeconds, m.prIterations, m.prWarmIterations)
 }
 
 // UnregisterCollectors detaches the model's walker-cache and
@@ -225,19 +206,15 @@ func (m *Model) UnregisterCollectors(reg *obs.Registry) {
 	reg.Unregister(&m.mixtures)
 }
 
-// observePageRank publishes the most recent offline centrality run and
-// the warm-refresh sweep count, under both the legacy shine_pagerank_*
-// names and the backend-neutral shine_centrality_* ones. Safe on a nil
-// receiver.
-func (mm *modelMetrics) observePageRank(seconds float64, iterations, warmIterations int) {
+// observeCentrality publishes the most recent offline centrality run
+// and the warm-refresh sweep count. Safe on a nil receiver.
+func (mm *modelMetrics) observeCentrality(seconds float64, iterations, warmIterations int) {
 	if mm == nil {
 		return
 	}
-	mm.prSeconds.Set(seconds)
-	mm.prIterations.Set(float64(iterations))
-	mm.prWarmIters.Set(float64(warmIterations))
 	mm.cenSeconds.Set(seconds)
 	mm.cenIterations.Set(float64(iterations))
+	mm.cenWarmIters.Set(float64(warmIterations))
 }
 
 // observeCentralityColdRestart counts one incremental update whose
@@ -327,13 +304,4 @@ func (mm *modelMetrics) streamSettle(start time.Time, emitted bool) {
 			mm.streamSeconds.ObserveSince(start)
 		}
 	}
-}
-
-// observeBatchFailures records per-document failures from a batch
-// link. Safe on a nil receiver.
-func (mm *modelMetrics) observeBatchFailures(n int) {
-	if mm == nil || n <= 0 {
-		return
-	}
-	mm.batchFailures.Add(uint64(n))
 }

@@ -91,20 +91,22 @@ func TestLearnMetrics(t *testing.T) {
 	}
 }
 
+// TestBatchFailureMetric: a document that fails inside a LinkStream
+// batch counts once in shine_link_failures_total, the one failure
+// series every link path feeds.
 func TestBatchFailureMetric(t *testing.T) {
 	f := newFixture(t)
 	m := newModel(t, f, nil)
 	reg := obs.NewRegistry()
 	m.SetMetrics(reg)
 
-	c := &corpus.Corpus{}
-	c.Add(f.docA)
-	c.Add(corpus.NewDocument("bad", "Unknown Person", hin.NoObject, nil))
-	if _, failed, err := m.LinkAllParallel(c, 2); err != nil || failed != 1 {
-		t.Fatalf("failed=%d err=%v, want 1/nil", failed, err)
+	bad := corpus.NewDocument("bad", "Unknown Person", hin.NoObject, nil)
+	got := linkAll(m, []*corpus.Document{f.docA, bad}, 2)
+	if len(got) != 2 || got[0].Err != nil || got[1].Err == nil {
+		t.Fatalf("stream results %+v, want one success then one failure", got)
 	}
-	if got := reg.Counter(MetricBatchFailures).Value(); got != 1 {
-		t.Errorf("batch failures = %d, want 1", got)
+	if n := reg.Counter(MetricLinkFailures).Value(); n != 1 {
+		t.Errorf("%s = %d, want 1", MetricLinkFailures, n)
 	}
 }
 

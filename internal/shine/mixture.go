@@ -25,8 +25,8 @@ import (
 //
 // Entries are built lazily on first use (or eagerly via
 // PrecomputeMixtures / the -precompute CLI flag) and are invalidated
-// whenever the weight vector or the graph changes: installWeights and
-// Rebind bump the model's weight version, and every lookup validates
+// whenever the weight vector changes: installWeights bumps the
+// model's weight version, and every lookup validates
 // the entry's version against the snapshot it is serving. A stale
 // compute that loses the race with a concurrent weight install is
 // still returned to its caller — that caller's whole mention is
@@ -191,9 +191,8 @@ func (m *Model) mixtureFor(ctx context.Context, e hin.ObjectID, w []float64, ver
 }
 
 // entityMixture returns entity e's frozen mixture under the current
-// weights — the memo behind EntityObjectProb/EntitySpecificProb, so
-// an explain-style loop probing N objects of one entity walks the
-// meta-paths once, not N times.
+// weights — the memo behind EntitySpecificProb, so a loop probing N
+// objects of one entity walks the meta-paths once, not N times.
 func (m *Model) entityMixture(e hin.ObjectID) (sparse.Dist, error) {
 	w, ver := m.snapshotWeightsVer()
 	return m.mixtureFor(context.Background(), e, w, ver)

@@ -93,61 +93,31 @@ func TestMixtureInvalidationOnSetWeights(t *testing.T) {
 	}
 }
 
-// TestMixtureInvalidationOnRebind: rebinding to a (new) graph flushes
-// the index — its distributions are over the old graph's object IDs.
-func TestMixtureInvalidationOnRebind(t *testing.T) {
-	f := newFixture(t)
-	m := newModel(t, f, nil)
-	if _, err := m.Link(f.docA); err != nil {
-		t.Fatal(err)
-	}
-	if m.MixtureStats().Entries == 0 {
-		t.Fatal("no mixtures before Rebind")
-	}
-	if err := m.Rebind(newFixture(t).g); err != nil {
-		t.Fatalf("Rebind: %v", err)
-	}
-	if n := m.MixtureStats().Entries; n != 0 {
-		t.Errorf("%d stale mixtures survive Rebind", n)
-	}
-	if _, err := m.Link(f.docA); err != nil {
-		t.Fatalf("Link after Rebind: %v", err)
-	}
-}
-
-// TestEntityObjectProbMemoised: probing N objects of one entity builds
-// its mixture once, and every probe matches the frozen Link-path
-// quantities exactly.
-func TestEntityObjectProbMemoised(t *testing.T) {
+// TestEntitySpecificProbMemoised: probing N objects of one entity
+// builds its mixture once, and every probe matches the definition
+// Pe(v) = Σ_p w_p·Pe(v|p) computed straight from the walker.
+func TestEntitySpecificProbMemoised(t *testing.T) {
 	f := newFixture(t)
 	m := newModel(t, f, nil)
 	e := f.ids["w1"]
 	probes := []hin.ObjectID{f.ids["sigmod"], f.ids["data"], f.ids["mine"], f.ids["nips"], f.ids["1999"]}
+	want, err := m.walker.WalkMixtureDist(e, m.paths, m.Weights(), m.cfg.WalkPruning)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	before := m.MixtureStats().Builds
-	var first []float64
 	for _, v := range probes {
-		p, err := m.EntityObjectProb(e, v)
+		p, err := m.EntitySpecificProb(e, v)
 		if err != nil {
-			t.Fatalf("EntityObjectProb(%d): %v", v, err)
+			t.Fatalf("EntitySpecificProb(%d): %v", v, err)
 		}
-		first = append(first, p)
+		if p != want.Get(int32(v)) {
+			t.Errorf("EntitySpecificProb(%d) = %v, want %v", v, p, want.Get(int32(v)))
+		}
 	}
-	st := m.MixtureStats()
-	if got := st.Builds - before; got != 1 {
+	if got := m.MixtureStats().Builds - before; got != 1 {
 		t.Errorf("%d probes built the mixture %d times, want 1", len(probes), got)
-	}
-
-	// The memo must agree with the definition: θ·Pe(v) + (1−θ)·Pg(v).
-	for i, v := range probes {
-		pe, err := m.EntitySpecificProb(e, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := m.cfg.Theta*pe + (1-m.cfg.Theta)*m.generic.Prob(v)
-		if first[i] != want {
-			t.Errorf("EntityObjectProb(%d) = %v, want %v", v, first[i], want)
-		}
 	}
 }
 

@@ -29,8 +29,7 @@ var ErrNoCandidates = errors.New("shine: mention has no candidate entities")
 // for concurrent Link calls, and Learn or SetWeights may run while
 // readers are active: each read snapshots the weight vector, so a
 // concurrent reader sees either the old or the new weights, never a
-// partial write. Rebind and SetGeneric still must not race with any
-// other use.
+// partial write.
 type Model struct {
 	graph      *hin.Graph
 	entityType hin.TypeID
@@ -49,7 +48,7 @@ type Model struct {
 	// mixtures is the frozen serving index: per candidate entity, the
 	// full meta-path mixture Σ_p w_p·Pe(v|p) as an immutable CSR
 	// distribution. Built lazily (or via PrecomputeMixtures) and
-	// invalidated by installWeights and Rebind.
+	// invalidated by installWeights.
 	mixtures mixtureIndex
 
 	popularity map[hin.ObjectID]float64
@@ -59,11 +58,10 @@ type Model struct {
 	// Refine from it where supported, so an incremental update
 	// re-converges in a handful of sweeps instead of a cold run.
 	prScores []float64
-	// prSeconds/prIterations record the most recent offline PageRank
+	// prSeconds/prIterations record the most recent offline centrality
 	// run (zero under PopularityUniform); published as gauges by
-	// SetMetrics and refreshed by Rebind. prWarmIterations is the
-	// sweep count of the most recent warm-started refresh (zero for
-	// cold-built models).
+	// SetMetrics. prWarmIterations is the sweep count of the most
+	// recent warm-started refresh (zero for cold-built models).
 	prSeconds        float64
 	prIterations     int
 	prWarmIterations int
@@ -148,8 +146,7 @@ func New(g *hin.Graph, entityType hin.TypeID, paths []metapath.Path, docs *corpu
 // produces bit-identical scores. Returns the popularity map, the raw
 // score vector (nil in uniform mode; WithDelta warm-starts from it),
 // plus the centrality wall-clock seconds and iteration count (both
-// zero in uniform mode) for the shine_pagerank_*/shine_centrality_*
-// gauges.
+// zero in uniform mode) for the shine_centrality_* gauges.
 func computePopularity(g *hin.Graph, entityType hin.TypeID, cfg Config) (map[hin.ObjectID]float64, []float64, float64, int, error) {
 	if cfg.Popularity == PopularityUniform {
 		p, err := pagerank.UniformPopularity(g, entityType)
@@ -235,60 +232,6 @@ func (m *Model) SetWeights(w []float64) error {
 	return nil
 }
 
-// Rebind moves the model onto a new graph — typically the same
-// network after enrichment (populate) — keeping the learned weights
-// and configuration. Popularity, the name index and the walk cache
-// are recomputed; the meta-path set is re-validated against the new
-// schema. Object IDs need not be compatible between the graphs.
-func (m *Model) Rebind(g *hin.Graph) error {
-	for _, p := range m.paths {
-		if st := p.StartType(g.Schema()); st != m.entityType {
-			return fmt.Errorf("shine: path %s starts at type %d on the new schema, entity type is %d",
-				p, st, m.entityType)
-		}
-	}
-	pop, prScores, prSeconds, prIters, err := computePopularity(g, m.entityType, m.cfg)
-	if err != nil {
-		return err
-	}
-	trie, err := surftrie.Build(g, m.entityType)
-	if err != nil {
-		return fmt.Errorf("shine: reindexing entity names: %w", err)
-	}
-	m.graph = g
-	m.popularity = pop
-	m.prScores = prScores
-	m.prSeconds, m.prIterations = prSeconds, prIters
-	m.prWarmIterations = 0 // a rebind is a cold recompute
-	m.metrics.observePageRank(prSeconds, prIters, 0)
-	m.cands = trie
-	m.trie = trie
-	m.walker = metapath.NewWalker(g, m.cfg.WalkCacheSize)
-	// Frozen mixtures embed walk distributions over the old graph's
-	// object IDs; bump the version so none survive the rebind.
-	m.wmu.Lock()
-	m.wver++
-	ver := m.wver
-	m.wmu.Unlock()
-	m.mixtures.invalidate(ver)
-	return nil
-}
-
-// SetGeneric re-estimates the generic object model Pg from a new
-// document collection, keeping everything else (popularity, weights,
-// walk caches) intact. A serving deployment calls this as its corpus
-// grows, so smoothing tracks the evolving domain vocabulary without
-// re-running PageRank or EM. Must not race with concurrent Link
-// calls.
-func (m *Model) SetGeneric(docs *corpus.Corpus) error {
-	gen, err := corpus.EstimateGeneric(docs)
-	if err != nil {
-		return fmt.Errorf("shine: re-estimating generic object model: %w", err)
-	}
-	m.generic = gen
-	return nil
-}
-
 // Popularity returns P(e) for an entity (0 for non-entities).
 func (m *Model) Popularity(e hin.ObjectID) float64 { return m.popularity[e] }
 
@@ -300,21 +243,10 @@ func (m *Model) Candidates(mention string) []hin.ObjectID {
 	return m.cands.Candidates(mention)
 }
 
-// EntityObjectProb returns the smoothed object model probability
-// P(v|e) = θ·Pe(v) + (1−θ)·Pg(v) (Formula 9) for a single object —
-// the quantity tabulated per candidate in the paper's Figure 3. The
-// entity's full mixture is memoised in the mixture index, so probing N
-// objects of one entity walks the meta-paths once, not N times.
-func (m *Model) EntityObjectProb(e, v hin.ObjectID) (float64, error) {
-	pe, err := m.entityMixture(e)
-	if err != nil {
-		return 0, err
-	}
-	return m.cfg.Theta*pe.Get(int32(v)) + (1-m.cfg.Theta)*m.generic.Prob(v), nil
-}
-
 // EntitySpecificProb returns the unsmoothed Pe(v) = Σ_p w_p Pe(v|p)
-// (Formula 12).
+// (Formula 12) — the quantity tabulated per candidate in the paper's
+// Figure 3. The entity's full mixture is memoised in the mixture
+// index, so probing N objects of one entity walks the meta-paths once.
 func (m *Model) EntitySpecificProb(e, v hin.ObjectID) (float64, error) {
 	pe, err := m.entityMixture(e)
 	if err != nil {
@@ -393,26 +325,6 @@ func (m *Model) link(ctx context.Context, doc *corpus.Document) (Result, error) 
 	})
 	res.Entity = res.Candidates[0].Entity
 	return res, nil
-}
-
-// LinkAll links every document in the corpus, returning one result
-// per document in order. Documents without candidates produce a
-// Result with Entity == hin.NoObject and are counted in the returned
-// error only if all fail.
-func (m *Model) LinkAll(c *corpus.Corpus) ([]Result, error) {
-	results := make([]Result, c.Len())
-	failures := 0
-	for i, doc := range c.Docs {
-		r, err := m.Link(doc)
-		if err != nil {
-			failures++
-		}
-		results[i] = r
-	}
-	if failures == c.Len() && c.Len() > 0 {
-		return results, fmt.Errorf("shine: all %d mentions failed to link", failures)
-	}
-	return results, nil
 }
 
 // logJoint computes ln(η·P(e)·P(d|e)) for candidate i of a prepared

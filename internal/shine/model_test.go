@@ -156,24 +156,20 @@ func TestLinkNoCandidates(t *testing.T) {
 	}
 }
 
+// TestLinkAll: linking the whole fixture corpus as one batch resolves
+// each document's mention to its own author.
 func TestLinkAll(t *testing.T) {
 	f := newFixture(t)
 	m := newModel(t, f, nil)
-	res, err := m.LinkAll(f.corpus)
-	if err != nil {
-		t.Fatalf("LinkAll: %v", err)
-	}
+	res := linkAll(m, f.corpus.Docs, 2)
 	if len(res) != 2 {
 		t.Fatalf("got %d results", len(res))
 	}
-	if res[0].Entity != f.ids["w1"] || res[1].Entity != f.ids["w2"] {
-		t.Errorf("LinkAll = %d, %d", res[0].Entity, res[1].Entity)
+	if res[0].Err != nil || res[1].Err != nil {
+		t.Fatalf("batch errors: %v, %v", res[0].Err, res[1].Err)
 	}
-	// A corpus where every mention is unknown errors as a whole.
-	badCorpus := &corpus.Corpus{}
-	badCorpus.Add(corpus.NewDocument("x", "Unknown Person", hin.NoObject, nil))
-	if _, err := m.LinkAll(badCorpus); err == nil {
-		t.Error("all-unlinkable corpus accepted")
+	if res[0].Result.Entity != f.ids["w1"] || res[1].Result.Entity != f.ids["w2"] {
+		t.Errorf("batch linked %d, %d", res[0].Result.Entity, res[1].Result.Entity)
 	}
 }
 
@@ -220,34 +216,25 @@ func TestSetWeights(t *testing.T) {
 	}
 }
 
-func TestEntityObjectProbMatchesFigure3Shape(t *testing.T) {
+func TestEntitySpecificProbMatchesFigure3Shape(t *testing.T) {
 	f := newFixture(t)
 	m := newModel(t, f, nil)
 
-	// P(SIGMOD | w1) must exceed P(SIGMOD | w2): w1 publishes there.
-	p1, err := m.EntityObjectProb(f.ids["w1"], f.ids["sigmod"])
+	// Pe(SIGMOD | w1) is positive: w1 publishes there.
+	p1, err := m.EntitySpecificProb(f.ids["w1"], f.ids["sigmod"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := m.EntityObjectProb(f.ids["w2"], f.ids["sigmod"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 <= p2 {
-		t.Errorf("P(SIGMOD|w1)=%v <= P(SIGMOD|w2)=%v", p1, p2)
-	}
-	// Smoothing keeps even the wrong candidate's probability positive,
-	// since SIGMOD occurs in the collection.
-	if p2 <= 0 {
-		t.Errorf("smoothed P(SIGMOD|w2) = %v, want > 0", p2)
+	if p1 <= 0 {
+		t.Errorf("Pe(SIGMOD|w1) = %v, want > 0", p1)
 	}
 	// Unsmoothed entity-specific probability is zero for w2.
-	raw2, err := m.EntitySpecificProb(f.ids["w2"], f.ids["sigmod"])
+	p2, err := m.EntitySpecificProb(f.ids["w2"], f.ids["sigmod"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw2 != 0 {
-		t.Errorf("Pe(SIGMOD|w2) = %v, want 0", raw2)
+	if p2 != 0 {
+		t.Errorf("Pe(SIGMOD|w2) = %v, want 0", p2)
 	}
 }
 
@@ -314,73 +301,5 @@ func TestPopularityModeString(t *testing.T) {
 	}
 	if PopularityMode(9).String() == "" {
 		t.Error("unknown mode renders empty")
-	}
-}
-
-func TestSetGeneric(t *testing.T) {
-	f := newFixture(t)
-	m := newModel(t, f, nil)
-
-	// A corpus heavily skewed to one object shifts Pg and therefore
-	// the smoothed object probability.
-	before, err := m.EntityObjectProb(f.ids["w2"], f.ids["sigmod"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	skewed := &corpus.Corpus{}
-	skewed.Add(corpus.NewDocument("s", "x", hin.NoObject,
-		[]hin.ObjectID{f.ids["sigmod"], f.ids["sigmod"], f.ids["sigmod"]}))
-	if err := m.SetGeneric(skewed); err != nil {
-		t.Fatalf("SetGeneric: %v", err)
-	}
-	after, err := m.EntityObjectProb(f.ids["w2"], f.ids["sigmod"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after <= before {
-		t.Errorf("Pg shift not reflected: %v -> %v", before, after)
-	}
-	if err := m.SetGeneric(&corpus.Corpus{}); err == nil {
-		t.Error("empty corpus accepted")
-	}
-}
-
-func TestRebindAfterEnrichment(t *testing.T) {
-	f := newFixture(t)
-	m := newModel(t, f, nil)
-	if _, err := m.Learn(f.corpus); err != nil {
-		t.Fatal(err)
-	}
-	weightsBefore := m.Weights()
-
-	// Enrich: clone the graph and add a new paper for w2 so its
-	// popularity rises.
-	b := hin.NewBuilderFromGraph(f.g)
-	for i := 0; i < 10; i++ {
-		p := b.MustAddObject(f.d.Paper, fmt.Sprintf("new-p%d", i))
-		b.MustAddLink(f.d.Write, f.ids["w2"], p)
-		b.MustAddLink(f.d.Publish, f.ids["nips"], p)
-	}
-	g2 := b.Build()
-	if err := m.Rebind(g2); err != nil {
-		t.Fatalf("Rebind: %v", err)
-	}
-	// Weights survive; graph swapped.
-	weightsAfter := m.Weights()
-	for i := range weightsBefore {
-		if weightsBefore[i] != weightsAfter[i] {
-			t.Fatal("Rebind changed the learned weights")
-		}
-	}
-	if m.Graph() != g2 {
-		t.Error("graph not swapped")
-	}
-	// Linking still works on the enriched graph.
-	r, err := m.Link(f.docB)
-	if err != nil {
-		t.Fatalf("Link after Rebind: %v", err)
-	}
-	if r.Entity != f.ids["w2"] {
-		t.Errorf("docB linked to %d after Rebind", r.Entity)
 	}
 }

@@ -5,10 +5,6 @@ import (
 	"fmt"
 )
 
-// Batch linking lives in stream.go: LinkAllParallel and
-// LinkAllParallelContext are thin order-preserving collectors over
-// the LinkStream worker pool.
-
 // PrecomputeMixtures eagerly builds the frozen mixture index for every
 // entity of the model's entity type under the current weights, fanning
 // out across Config.Workers goroutines. After it returns, Link serves

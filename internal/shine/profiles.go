@@ -55,7 +55,7 @@ func (m *Model) prepareMention(ctx context.Context, doc *corpus.Document, cands 
 			pathProb: make([][]float64, len(m.paths)),
 		}
 		for pi, p := range m.paths {
-			dist, err := m.walker.WalkPrunedContext(ctx, e, p, m.cfg.WalkPruning)
+			dist, err := m.walker.Walk(ctx, e, p, m.cfg.WalkPruning)
 			if err != nil {
 				return nil, fmt.Errorf("shine: walking %s from entity %d: %w", p, e, err)
 			}

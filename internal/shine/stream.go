@@ -3,7 +3,6 @@ package shine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -50,11 +49,14 @@ type streamJob struct {
 
 // LinkStream links every document read from docs using a bounded
 // worker pool and returns the results on the output channel in input
-// order. It is the constant-memory counterpart of LinkAllParallel:
-// nothing is materialized per stream except the in-flight window, so
+// order. It is the model's one batch-linking entry point: the NDJSON
+// batch endpoint and the annotator stream through it.
+// Nothing is materialized per stream except the in-flight window, so
 // memory is O(workers + reorder window) no matter how many documents
 // flow through — the shape a million-document batch job needs.
-// workers <= 0 uses GOMAXPROCS.
+// workers <= 0 uses GOMAXPROCS. The paper's implementation is
+// single-threaded; linking is embarrassingly parallel, so a serving
+// deployment should not be.
 //
 // Ordering: results are emitted in exactly the order documents were
 // read from docs, restored by a sequence-numbered reorder buffer. The
@@ -65,9 +67,8 @@ type streamJob struct {
 //
 // Errors: a document that fails to link (no candidates, walk failure)
 // flows through as a StreamResult with Err set and a NIL Result —
-// degraded documents do not abort the stream, matching
-// LinkAllParallel's semantics. A nil input document flows through with
-// Err == ErrNilDocument.
+// degraded documents do not abort the stream. A nil input document
+// flows through with Err == ErrNilDocument.
 //
 // Cancellation: when ctx ends, the pipeline drains cleanly — no more
 // input is read, documents still queued are not linked (their results
@@ -206,85 +207,4 @@ func (m *Model) LinkStream(ctx context.Context, docs <-chan *corpus.Document, wo
 		}
 	}()
 	return out
-}
-
-// LinkAllParallelContext links every document of the corpus through
-// the streaming pipeline under a context, returning results in
-// document order. A canceled batch stops promptly — no further
-// documents are dispatched and queued documents are skipped — and
-// returns the results completed so far alongside ctx.Err();
-// unprocessed documents hold a NIL Result. The failure count covers
-// per-document link errors only, never cancellation.
-func (m *Model) LinkAllParallelContext(ctx context.Context, c *corpus.Corpus, workers int) ([]Result, int, error) {
-	n := c.Len()
-	if n == 0 {
-		return nil, 0, nil
-	}
-	// Clamp rather than trust the caller: a zero/negative request
-	// takes GOMAXPROCS and the pool never exceeds the document count,
-	// so no worker configuration can stall the job channel.
-	workers = clampWorkers(workers, n)
-
-	// Feed the corpus through a bounded channel; the feeder aborts as
-	// soon as the context ends instead of draining every queued doc.
-	docs := make(chan *corpus.Document, workers)
-	go func() {
-		defer close(docs)
-		for _, doc := range c.Docs {
-			select {
-			case <-ctx.Done():
-				return
-			case docs <- doc:
-			}
-		}
-	}()
-
-	results := make([]Result, n)
-	for i := range results {
-		results[i].Entity = hin.NoObject
-	}
-	failures := 0
-	for sr := range m.LinkStream(ctx, docs, workers) {
-		results[sr.Seq] = sr.Result
-		if sr.Err != nil && !isStreamCtxErr(ctx, sr.Err) {
-			failures++
-		}
-	}
-	m.metrics.observeBatchFailures(failures)
-	if err := ctx.Err(); err != nil {
-		return results, failures, err
-	}
-	if failures == n {
-		return results, failures, fmt.Errorf("shine: all %d mentions failed to link", failures)
-	}
-	return results, failures, nil
-}
-
-// LinkAllParallel links every document using the given number of
-// worker goroutines, returning results in document order — identical
-// to LinkAll's output, faster on multi-core machines. workers <= 0
-// uses GOMAXPROCS. The paper's implementation is single-threaded
-// ("we do not utilize the parallel computing technique"); linking is
-// embarrassingly parallel, so a serving deployment should not be.
-//
-// The second return value counts documents that failed to link
-// (their Result has Entity == hin.NoObject); it is non-zero for
-// degraded batches even when the call as a whole succeeds, and is
-// also recorded in the shine_link_batch_failures_total metric on an
-// instrumented model. The error is non-nil only when every document
-// fails.
-//
-// LinkAllParallel is LinkAllParallelContext under context.Background;
-// both run on the LinkStream pipeline, so there is exactly one worker
-// pool implementation.
-func (m *Model) LinkAllParallel(c *corpus.Corpus, workers int) ([]Result, int, error) {
-	return m.LinkAllParallelContext(context.Background(), c, workers)
-}
-
-// isStreamCtxErr reports whether a per-document stream error was
-// caused by the stream's own context ending — those documents were
-// never really processed and must not count as link failures.
-func isStreamCtxErr(ctx context.Context, err error) bool {
-	cause := ctx.Err()
-	return cause != nil && errors.Is(err, cause)
 }

@@ -3,6 +3,7 @@ package shine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"shine/internal/corpus"
 	"shine/internal/hin"
+	"shine/internal/metapath"
 	"shine/internal/obs"
 )
 
@@ -48,59 +50,126 @@ func goroutineSettled(base int) bool {
 	return false
 }
 
-// TestLinkStreamMatchesParallel: the acceptance contract — streaming
-// output is bit-identical (same entities, same posteriors, same
-// order) to LinkAllParallel on the golden corpus for several worker
-// counts.
-func TestLinkStreamMatchesParallel(t *testing.T) {
+// linkAll links every document through LinkStream and returns the
+// results in input order.
+func linkAll(m *Model, docs []*corpus.Document, workers int) []StreamResult {
+	return collectStream(m.LinkStream(context.Background(), feedDocs(docs), workers))
+}
+
+// linkEach links every document with one Link call each.
+func linkEach(t *testing.T, m *Model, docs []*corpus.Document) []Result {
+	t.Helper()
+	want := make([]Result, len(docs))
+	for i, doc := range docs {
+		var err error
+		if want[i], err = m.Link(doc); err != nil {
+			t.Fatalf("Link doc %d: %v", i, err)
+		}
+	}
+	return want
+}
+
+// requireSameResult fails unless got names the same entity as want and
+// carries a bit-identical candidate list (entities, posteriors,
+// log-joints, order).
+func requireSameResult(t *testing.T, where string, got, want Result) {
+	t.Helper()
+	if got.Entity != want.Entity {
+		t.Errorf("%s: entity %d, want %d", where, got.Entity, want.Entity)
+	}
+	if len(got.Candidates) != len(want.Candidates) {
+		t.Fatalf("%s: %d candidates, want %d", where, len(got.Candidates), len(want.Candidates))
+	}
+	for j, cs := range got.Candidates {
+		w := want.Candidates[j]
+		if cs.Entity != w.Entity ||
+			math.Float64bits(cs.Posterior) != math.Float64bits(w.Posterior) ||
+			math.Float64bits(cs.LogJoint) != math.Float64bits(w.LogJoint) {
+			t.Errorf("%s cand %d: %+v, want %+v", where, j, cs, w)
+		}
+	}
+}
+
+// requireStreamMatchesLink links docs through LinkStream and fails
+// unless the stream emits one result per document in input order, each
+// bit-identical to want, Link's result for that document.
+func requireStreamMatchesLink(t *testing.T, m *Model, docs []*corpus.Document, want []Result, workers int) {
+	t.Helper()
+	got := linkAll(m, docs, workers)
+	if len(got) != len(docs) {
+		t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(docs))
+	}
+	for i, sr := range got {
+		if sr.Seq != i {
+			t.Fatalf("workers=%d: result %d has seq %d; stream out of order", workers, i, sr.Seq)
+		}
+		if sr.Err != nil {
+			t.Fatalf("workers=%d doc %d: %v", workers, i, sr.Err)
+		}
+		if sr.Doc != docs[i] {
+			t.Fatalf("workers=%d doc %d: result carries the wrong document", workers, i)
+		}
+		requireSameResult(t, fmt.Sprintf("workers=%d doc %d", workers, i), sr.Result, want[i])
+	}
+}
+
+// TestLinkStreamMatchesLink: the acceptance contract — at every
+// worker count the stream's result for each document is bit-identical
+// to Link called once on that document.
+func TestLinkStreamMatchesLink(t *testing.T) {
 	ds := integrationDataset(t)
 	d := ds.Data.Schema
-	m, err := New(ds.Data.Graph, d.Author, pathsFor(t, d), ds.Corpus, DefaultConfig())
+	m, err := New(ds.Data.Graph, d.Author, metapath.DBLPPaperPaths(d), ds.Corpus, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.Learn(ds.Corpus); err != nil {
 		t.Fatal(err)
 	}
-	want, wantFailed, err := m.LinkAllParallel(ds.Corpus, 4)
-	if err != nil {
-		t.Fatalf("LinkAllParallel: %v", err)
-	}
-	if wantFailed != 0 {
-		t.Fatalf("%d failures on a fully-linkable corpus", wantFailed)
-	}
+	want := linkEach(t, m, ds.Corpus.Docs)
 	for _, workers := range []int{1, 4, 8} {
-		got := collectStream(m.LinkStream(context.Background(), feedDocs(ds.Corpus.Docs), workers))
+		requireStreamMatchesLink(t, m, ds.Corpus.Docs, want, workers)
+	}
+}
+
+// TestLinkStreamMatchesParallel: a stream run by several workers is
+// indistinguishable from the one-worker stream, failed and nil
+// documents included — same positions, same errors, bit-identical
+// results.
+func TestLinkStreamMatchesParallel(t *testing.T) {
+	ds := integrationDataset(t)
+	d := ds.Data.Schema
+	m, err := New(ds.Data.Graph, d.Author, metapath.DBLPPaperPaths(d), ds.Corpus, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Learn(ds.Corpus); err != nil {
+		t.Fatal(err)
+	}
+	bad := corpus.NewDocument("bad", "Unknown Person", hin.NoObject, nil)
+	docs := append([]*corpus.Document{bad}, ds.Corpus.Docs...)
+	mid := len(docs) / 2
+	docs = append(docs[:mid], append([]*corpus.Document{nil}, docs[mid:]...)...)
+	want := linkAll(m, docs, 1)
+	for _, workers := range []int{4, 8} {
+		got := linkAll(m, docs, workers)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}
 		for i, sr := range got {
-			if sr.Seq != i {
-				t.Fatalf("workers=%d: result %d has seq %d; stream out of order", workers, i, sr.Seq)
+			where := fmt.Sprintf("workers=%d doc %d", workers, i)
+			if sr.Seq != want[i].Seq || sr.Doc != want[i].Doc {
+				t.Fatalf("%s: seq %d doc %p, one worker gave seq %d doc %p",
+					where, sr.Seq, sr.Doc, want[i].Seq, want[i].Doc)
 			}
-			if sr.Err != nil {
-				t.Fatalf("workers=%d doc %d: %v", workers, i, sr.Err)
+			if fmt.Sprint(sr.Err) != fmt.Sprint(want[i].Err) {
+				t.Errorf("%s: err %v, one worker gave %v", where, sr.Err, want[i].Err)
 			}
-			if sr.Doc != ds.Corpus.Docs[i] {
-				t.Fatalf("workers=%d doc %d: result carries the wrong document", workers, i)
-			}
-			if sr.Result.Entity != want[i].Entity {
-				t.Errorf("workers=%d doc %d: entity %d vs parallel %d",
-					workers, i, sr.Result.Entity, want[i].Entity)
-			}
-			if len(sr.Result.Candidates) != len(want[i].Candidates) {
-				t.Fatalf("workers=%d doc %d: %d candidates vs %d",
-					workers, i, len(sr.Result.Candidates), len(want[i].Candidates))
-			}
-			for j, cs := range sr.Result.Candidates {
-				w := want[i].Candidates[j]
-				if cs.Entity != w.Entity ||
-					math.Float64bits(cs.Posterior) != math.Float64bits(w.Posterior) ||
-					math.Float64bits(cs.LogJoint) != math.Float64bits(w.LogJoint) {
-					t.Errorf("workers=%d doc %d cand %d: %+v vs parallel %+v", workers, i, j, cs, w)
-				}
-			}
+			requireSameResult(t, where, sr.Result, want[i].Result)
 		}
+	}
+	if want[0].Err == nil || want[mid].Err == nil {
+		t.Errorf("failed and nil documents linked without error: %v, %v", want[0].Err, want[mid].Err)
 	}
 }
 
@@ -196,9 +265,7 @@ func TestLinkStreamCancelAfterK(t *testing.T) {
 }
 
 // TestLinkStreamCancelMidFlow: cancellation racing live traffic still
-// yields a strictly in-order prefix and a closed channel, and the
-// canceled LinkAllParallelContext wrapper surfaces ctx.Err() with
-// NIL-filled unprocessed slots.
+// yields a strictly in-order prefix and a closed channel.
 func TestLinkStreamCancelMidFlow(t *testing.T) {
 	f := newFixture(t)
 	m := newModel(t, f, nil)
@@ -242,47 +309,6 @@ func TestLinkStreamCancelMidFlow(t *testing.T) {
 		t.Errorf("pipeline goroutines leaked: %d running, started from %d", runtime.NumGoroutine(), base)
 	}
 
-	// The corpus wrapper under the same mid-flow cancellation.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	results, failures, err := m.LinkAllParallelContext(ctx2, c, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled batch err = %v, want context.Canceled", err)
-	}
-	if failures != 0 {
-		t.Errorf("pre-canceled batch counted %d failures, want 0", failures)
-	}
-	if len(results) != total {
-		t.Fatalf("%d results, want %d", len(results), total)
-	}
-	for i, r := range results {
-		if r.Entity != hin.NoObject {
-			t.Errorf("unprocessed doc %d holds entity %d, want NoObject", i, r.Entity)
-		}
-	}
-}
-
-// TestLinkAllParallelContextMatchesPlain: the context variant under
-// context.Background is the plain call, bit for bit.
-func TestLinkAllParallelContextMatchesPlain(t *testing.T) {
-	f := newFixture(t)
-	m := newModel(t, f, nil)
-	plain, pf, err := m.LinkAllParallel(f.corpus, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, cf, err := m.LinkAllParallelContext(context.Background(), f.corpus, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf != cf || len(plain) != len(ctxed) {
-		t.Fatalf("failures %d vs %d, results %d vs %d", pf, cf, len(plain), len(ctxed))
-	}
-	for i := range plain {
-		if plain[i].Entity != ctxed[i].Entity {
-			t.Errorf("doc %d: %d vs %d", i, plain[i].Entity, ctxed[i].Entity)
-		}
-	}
 }
 
 // TestLinkStreamBoundedMemory: the acceptance memory bound — a

@@ -36,9 +36,11 @@ func stressModel(t *testing.T, cacheSize int) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
-				if _, _, err := m.LinkAllParallel(f.corpus, 4); err != nil {
-					errc <- fmt.Errorf("LinkAllParallel round %d: %w", round, err)
-					return
+				for _, sr := range linkAll(m, f.corpus.Docs, 4) {
+					if sr.Err != nil {
+						errc <- fmt.Errorf("LinkStream round %d doc %d: %w", round, sr.Seq, sr.Err)
+						return
+					}
 				}
 			}
 		}()

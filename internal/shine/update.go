@@ -54,13 +54,13 @@ type UpdateStats struct {
 }
 
 // WithDelta applies a staged graph delta and returns a new Model over
-// the merged graph — the incremental-update path. Where Rebind throws
-// every warm structure away, WithDelta invalidates per entity: a
-// cached walk or frozen mixture depends only on the adjacency rows a
-// meta-path walk from the source entity can read, so after a small
-// delta only entities that reach a touched object (an endpoint of a
-// new edge, or a new object) along a typed path prefix can have
-// changed — see affectedSources. Everything else — most of the cache,
+// the merged graph — the incremental-update path. Where a cold
+// rebuild throws every warm structure away, WithDelta invalidates per
+// entity: a cached walk or frozen mixture depends only on the
+// adjacency rows a meta-path walk from the source entity can read, so
+// after a small delta only entities that reach a touched object (an
+// endpoint of a new edge, or a new object) along a typed path prefix
+// can have changed — see affectedSources. Everything else — most of the cache,
 // for a small delta — migrates to the new model as-is, object IDs
 // being stable across MergeDeltas.
 //

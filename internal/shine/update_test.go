@@ -1,6 +1,7 @@
 package shine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -324,22 +325,22 @@ func TestAffectedSourcesSoundness(t *testing.T) {
 		}
 		kept++
 		for _, p := range paths {
-			d1, err := w1.Walk(a, p)
+			d1, err := w1.Walk(context.Background(), a, p, 0)
 			if err != nil {
 				t.Fatalf("Walk(%s, %s) on base: %v", g.Name(a), p.String(), err)
 			}
-			d2, err := w2.Walk(a, p)
+			d2, err := w2.Walk(context.Background(), a, p, 0)
 			if err != nil {
 				t.Fatalf("Walk(%s, %s) on merged: %v", g.Name(a), p.String(), err)
 			}
-			if d1.Len() != d2.Len() {
+			i1, x1 := d1.Raw()
+			i2, x2 := d2.Raw()
+			if len(i1) != len(i2) {
 				t.Fatalf("unaffected entity %s: %s walk changed size %d -> %d",
-					g.Name(a), p.String(), d1.Len(), d2.Len())
+					g.Name(a), p.String(), len(i1), len(i2))
 			}
-			for k := 0; k < d1.Len(); k++ {
-				i1, x1 := d1.At(k)
-				i2, x2 := d2.At(k)
-				if i1 != i2 || math.Float64bits(x1) != math.Float64bits(x2) {
+			for k := range i1 {
+				if i1[k] != i2[k] || math.Float64bits(x1[k]) != math.Float64bits(x2[k]) {
 					t.Fatalf("unaffected entity %s: %s walk differs at entry %d",
 						g.Name(a), p.String(), k)
 				}

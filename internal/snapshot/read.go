@@ -26,10 +26,6 @@ type Snapshot struct {
 // Info returns the artifact's identity and shape.
 func (s *Snapshot) Info() Info { return s.info }
 
-// Parts returns the decoded model decomposition (shared; do not
-// modify).
-func (s *Snapshot) Parts() shine.Parts { return s.parts }
-
 // Model materialises the serving model.
 func (s *Snapshot) Model() (*shine.Model, error) {
 	return shine.FromParts(s.parts)

@@ -233,12 +233,12 @@ func TestReadLegacyPRSeconds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadBytes(legacy): %v", err)
 	}
-	if got := s.Parts().PRSeconds; got != 0 {
-		t.Errorf("restored PRSeconds = %v, want 0", got)
-	}
 	m, err := s.Model()
 	if err != nil {
 		t.Fatalf("Model: %v", err)
+	}
+	if got := m.Parts().PRSeconds; got != 0 {
+		t.Errorf("restored PRSeconds = %v, want 0", got)
 	}
 	for _, doc := range f.docs.Docs {
 		r1, err1 := f.model.Link(doc)

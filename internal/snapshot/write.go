@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -229,16 +228,6 @@ func objectIDsAsInt32(ids []hin.ObjectID) []int32 {
 		out[i] = int32(o)
 	}
 	return out
-}
-
-// Write serialises the decomposition to w, returning bytes written.
-func Write(w io.Writer, p shine.Parts) (int64, error) {
-	data, err := Encode(p)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(data)
-	return int64(n), err
 }
 
 // WriteFile atomically writes the artifact: encode, write to a

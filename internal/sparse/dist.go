@@ -66,9 +66,6 @@ func UnitDist(i int32) Dist {
 // Len returns the number of stored (non-zero) entries.
 func (d Dist) Len() int { return len(d.idx) }
 
-// At returns the k-th entry in ascending index order.
-func (d Dist) At(k int) (int32, float64) { return d.idx[k], d.val[k] }
-
 // Get returns the value at index i (zero if absent) by binary search.
 func (d Dist) Get(i int32) float64 {
 	lo, hi := 0, len(d.idx)
@@ -116,61 +113,9 @@ func (d Dist) Sum() float64 {
 	return s
 }
 
-// Dot returns the inner product of d and e by a linear merge over the
-// two sorted index arrays.
-func (d Dist) Dot(e Dist) float64 {
-	s := 0.0
-	a, b := 0, 0
-	for a < len(d.idx) && b < len(e.idx) {
-		switch {
-		case d.idx[a] < e.idx[b]:
-			a++
-		case d.idx[a] > e.idx[b]:
-			b++
-		default:
-			s += d.val[a] * e.val[b]
-			a++
-			b++
-		}
-	}
-	return s
-}
-
-// ScaledAddTo accumulates c·d into the map-backed vector v, visiting
-// entries in ascending index order.
-func (d Dist) ScaledAddTo(v Vector, c float64) {
-	if c == 0 {
-		return
-	}
-	for k, i := range d.idx {
-		v.Add(i, c*d.val[k])
-	}
-}
-
-// ForEach calls fn for every entry in ascending index order.
-func (d Dist) ForEach(fn func(i int32, x float64)) {
-	for k, i := range d.idx {
-		fn(i, d.val[k])
-	}
-}
-
-// Top returns the n largest entries in descending value order (ties
-// broken by ascending index) — the same selection rule as Vector.Top.
-func (d Dist) Top(n int) []Entry {
-	entries := make([]Entry, len(d.idx))
-	for k, i := range d.idx {
-		entries[k] = Entry{Index: i, Value: d.val[k]}
-	}
-	slices.SortFunc(entries, compareTopEntries)
-	if len(entries) > n {
-		entries = entries[:n]
-	}
-	return entries
-}
-
 // compareTopEntries orders entries by descending value, ties broken
-// by ascending index — the shared selection rule of Vector.Top,
-// Dist.Top and Accum.Prune.
+// by ascending index — the shared selection rule of Vector.Top and
+// Accum.Prune.
 func compareTopEntries(a, b Entry) int {
 	switch {
 	case a.Value > b.Value:
@@ -183,11 +128,6 @@ func compareTopEntries(a, b Entry) int {
 		return 1
 	}
 	return 0
-}
-
-// Indices returns a copy of the stored indices in ascending order.
-func (d Dist) Indices() []int32 {
-	return append([]int32(nil), d.idx...)
 }
 
 // Raw exposes the backing arrays: strictly ascending indices and
@@ -345,22 +285,6 @@ func NewAccum(n int) *Accum {
 // bitsetWords is the number of 64-bit words a bitset over [0, n) needs.
 func bitsetWords(n int) int { return (n + 63) / 64 }
 
-// Grow ensures the accumulator covers indices [0, n). Existing
-// accumulated state is preserved.
-func (a *Accum) Grow(n int) {
-	if n <= len(a.dense) {
-		return
-	}
-	dense := make([]float64, n)
-	copy(dense, a.dense)
-	seen := make([]uint64, bitsetWords(n))
-	copy(seen, a.seen)
-	a.dense, a.seen = dense, seen
-}
-
-// Size returns the dense capacity (the exclusive index upper bound).
-func (a *Accum) Size() int { return len(a.dense) }
-
 // Len returns the number of distinct indices touched since the last
 // Reset.
 func (a *Accum) Len() int { return len(a.touched) }
@@ -444,7 +368,7 @@ func (a *Accum) scanTouched() {
 // accumulated value. Entries that cancelled to exactly zero stay
 // listed; callers skip them, as Dist does. Both slices are shared
 // with the accumulator, must not be modified, and are valid until the
-// next Add, Prune, Reset or Grow.
+// next Add, Prune or Reset.
 func (a *Accum) Ordered() (idx []int32, dense []float64) {
 	a.order()
 	return a.touched, a.dense

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -51,8 +50,8 @@ func TestFreezeDropsExactZeros(t *testing.T) {
 	if d.Len() != 1 {
 		t.Fatalf("frozen literal has %d entries, want 1", d.Len())
 	}
-	if i, x := d.At(0); i != 5 || x != 0.25 {
-		t.Fatalf("frozen entry = (%d, %v), want (5, 0.25)", i, x)
+	if idx, val := d.Raw(); idx[0] != 5 || val[0] != 0.25 {
+		t.Fatalf("frozen entry = (%d, %v), want (5, 0.25)", idx[0], val[0])
 	}
 }
 
@@ -97,8 +96,8 @@ func TestDistGetManyMatchesGet(t *testing.T) {
 }
 
 // TestMixDistsMatchesMix: the CSR mixture is bit-for-bit identical to
-// the map-backed Mix — same per-index addition order, same dropped
-// zeros.
+// the map-backed mixture Σ c_k·v_k accumulated with AccumScaled in
+// slice order — same per-index addition order, same dropped zeros.
 func TestMixDistsMatchesMix(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
@@ -114,65 +113,20 @@ func TestMixDistsMatchesMix(t *testing.T) {
 				cs[p] = 0 // zero-weight paths must not contribute
 			}
 		}
-		want := Mix(vs, cs)
+		want := New()
+		for p := range vs {
+			want.AccumScaled(vs[p], cs[p])
+		}
 		got := MixDists(ds, cs)
 		if got.Len() != len(want) {
 			t.Fatalf("trial %d: mixture has %d entries, want %d", trial, got.Len(), len(want))
 		}
-		got.ForEach(func(i int32, x float64) {
+		gotIdx, gotVal := got.Raw()
+		for k, i := range gotIdx {
+			x := gotVal[k]
 			if wx := want[i]; x != wx {
 				t.Fatalf("trial %d: mixture[%d] = %v, want %v (bit-for-bit)", trial, i, x, wx)
 			}
-		})
-	}
-}
-
-// TestDistTopMatchesVectorTop: identical selection, order and values.
-func TestDistTopMatchesVectorTop(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		v := randomDistVector(rng, 100, rng.Intn(50))
-		// Force value ties so the index tiebreak is exercised.
-		if len(v) >= 2 {
-			idx := v.Indices()
-			v[idx[0]] = 0.5
-			v[idx[len(idx)-1]] = 0.5
-		}
-		d := Freeze(v)
-		n := rng.Intn(12)
-		got, want := d.Top(n), v.Top(n)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: Top(%d) lengths %d vs %d", trial, n, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("trial %d: Top[%d] = %+v, want %+v", trial, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-// TestDistDotMatchesSortedReference: Dot agrees with an ascending-order
-// reference accumulation bit-for-bit (Vector.Dot iterates in map order,
-// so it is only approximately comparable).
-func TestDistDotMatchesSortedReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 100; trial++ {
-		a := Freeze(randomDistVector(rng, 120, rng.Intn(40)))
-		b := Freeze(randomDistVector(rng, 120, rng.Intn(40)))
-		want := 0.0
-		a.ForEach(func(i int32, x float64) {
-			if y := b.Get(i); y != 0 {
-				want += x * y
-			}
-		})
-		if got := a.Dot(b); got != want {
-			t.Fatalf("trial %d: Dot = %v, want %v", trial, got, want)
-		}
-		// Cross-check against the map implementation within tolerance.
-		av, bv := a.Thaw(), b.Thaw()
-		if mapDot := av.Dot(bv); math.Abs(a.Dot(b)-mapDot) > 1e-12 {
-			t.Fatalf("trial %d: Dot = %v, map Dot = %v", trial, a.Dot(b), mapDot)
 		}
 	}
 }
@@ -199,11 +153,13 @@ func TestAccumMatchesVectorAdds(t *testing.T) {
 		if d.Len() != len(v) {
 			t.Fatalf("trial %d: frozen accum has %d entries, want %d", trial, d.Len(), len(v))
 		}
-		d.ForEach(func(i int32, x float64) {
+		dIdx, dVal := d.Raw()
+		for k, i := range dIdx {
+			x := dVal[k]
 			if wx, ok := v[i]; !ok || x != wx {
 				t.Fatalf("trial %d: accum[%d] = %v, map %v", trial, i, x, wx)
 			}
-		})
+		}
 		// Reset must fully clear in O(touched).
 		acc.Reset()
 		if acc.Len() != 0 {
@@ -261,14 +217,13 @@ func TestAccumPruneMatchesVectorTop(t *testing.T) {
 // crossover, Ordered and Dist agree bit-for-bit with a Vector built by
 // the same Add sequence, in ascending index order. The sequences hit
 // the bitset's word boundaries (0, 63, 64, n−1), cancel entries to
-// exactly zero, grow the accumulator after use and reuse it after
-// Reset.
+// exactly zero and reuse the accumulator after Reset.
 func TestAccumOrderedMatchesVector(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sorted, scanned := 0, 0
 	for trial := 0; trial < 100; trial++ {
-		n := 64*100 + rng.Intn(64) // 100 or 101 words: scans from 17 indices up
-		acc := NewAccum(n / 2)
+		n := 64*50 + rng.Intn(64) // 50 or 51 words: scans from 9 indices up
+		acc := NewAccum(n)
 		for round := 0; round < 3; round++ {
 			v := New()
 			add := func(limit int) {
@@ -287,11 +242,7 @@ func TestAccumOrderedMatchesVector(t *testing.T) {
 					}
 				}
 			}
-			add(acc.Size())
-			if round == 1 {
-				acc.Grow(n) // grow a used accumulator, then keep adding
-				add(n)
-			}
+			add(n)
 			if acc.Len()*scanMinRatio < len(acc.seen) {
 				sorted++
 			} else {
@@ -319,8 +270,9 @@ func TestAccumOrderedMatchesVector(t *testing.T) {
 			if d.Len() != len(wantIdx) {
 				t.Fatalf("trial %d: Dist has %d entries, want %d", trial, d.Len(), len(wantIdx))
 			}
+			dIdx, dVal := d.Raw()
 			for j, i := range wantIdx {
-				di, dx := d.At(j)
+				di, dx := dIdx[j], dVal[j]
 				if got[j].Index != i || got[j].Value != v[i] || di != i || dx != v[i] {
 					t.Fatalf("trial %d: entry %d = %+v, Dist (%d, %v), want (%d, %v)",
 						trial, j, got[j], di, dx, i, v[i])
@@ -377,8 +329,8 @@ func checkClean(t *testing.T, a *Accum) {
 func TestAccumPool(t *testing.T) {
 	p := NewAccumPool(64)
 	a := p.Get()
-	if a.Size() != 64 || a.Len() != 0 {
-		t.Fatalf("fresh accum: size %d touched %d", a.Size(), a.Len())
+	if len(a.dense) != 64 || a.Len() != 0 {
+		t.Fatalf("fresh accum: size %d touched %d", len(a.dense), a.Len())
 	}
 	a.Add(7, 1.5)
 	p.Put(a)
@@ -388,8 +340,8 @@ func TestAccumPool(t *testing.T) {
 	}
 	p.Put(NewAccum(8)) // wrong size: must be dropped
 	c := p.Get()
-	if c.Size() != 64 {
-		t.Fatalf("pool handed out wrong-size accum (%d)", c.Size())
+	if len(c.dense) != 64 {
+		t.Fatalf("pool handed out wrong-size accum (%d)", len(c.dense))
 	}
 	p.Put(nil) // must not panic
 }
@@ -408,21 +360,6 @@ func TestUnitDistMatchesUnit(t *testing.T) {
 	}
 	if s := d.Sum(); s != 1 {
 		t.Errorf("UnitDist sum %v", s)
-	}
-}
-
-// TestAccumGrow preserves accumulated state while extending capacity.
-func TestAccumGrow(t *testing.T) {
-	a := NewAccum(4)
-	a.Add(2, 0.5)
-	a.Grow(16)
-	if a.Size() != 16 {
-		t.Fatalf("size after Grow = %d", a.Size())
-	}
-	a.Add(10, 0.25)
-	d := a.Dist()
-	if d.Get(2) != 0.5 || d.Get(10) != 0.25 {
-		t.Fatalf("state lost across Grow: %v", d)
 	}
 }
 

@@ -63,15 +63,6 @@ func (v Vector) Sum() float64 {
 	return s
 }
 
-// Norm1 returns the L1 norm Σ|x|.
-func (v Vector) Norm1() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // Norm2 returns the L2 norm sqrt(Σx²).
 func (v Vector) Norm2() float64 {
 	s := 0.0
@@ -130,39 +121,6 @@ func (v Vector) AccumScaled(w Vector, c float64) Vector {
 		v.Add(i, c*x)
 	}
 	return v
-}
-
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	c := make(Vector, len(v))
-	for i, x := range v {
-		c[i] = x
-	}
-	return c
-}
-
-// Normalize scales v in place so its entries sum to 1 and returns v.
-// A vector whose sum is zero is left unchanged.
-func (v Vector) Normalize() Vector {
-	s := v.Sum()
-	if s == 0 {
-		return v
-	}
-	return v.Scale(1 / s)
-}
-
-// Mix returns Σ c_k · vs_k as a new vector: the weighted combination
-// used for the entity-specific object model Pe(v) = Σ_p w_p Pe(v|p)
-// (Formula 12 of the paper). len(cs) must equal len(vs).
-func Mix(vs []Vector, cs []float64) Vector {
-	if len(vs) != len(cs) {
-		panic(fmt.Sprintf("sparse: Mix with %d vectors and %d coefficients", len(vs), len(cs)))
-	}
-	out := New()
-	for k, w := range vs {
-		out.AccumScaled(w, cs[k])
-	}
-	return out
 }
 
 // Indices returns the stored indices in ascending order. Useful for

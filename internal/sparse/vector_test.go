@@ -43,9 +43,6 @@ func TestSumAndNorms(t *testing.T) {
 	if got := v.Sum(); got != -1 {
 		t.Errorf("Sum = %v, want -1", got)
 	}
-	if got := v.Norm1(); got != 7 {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
 	if got := v.Norm2(); got != 5 {
 		t.Errorf("Norm2 = %v, want 5", got)
 	}
@@ -88,54 +85,29 @@ func TestAccumScaled(t *testing.T) {
 	if v.Get(1) != 2 || v.Get(3) != 2 {
 		t.Errorf("AccumScaled = %v", v)
 	}
-	before := v.Clone()
+	before := Vector{1: 2, 3: 2}
 	v.AccumScaled(w, 0)
 	if !v.Equal(before, 0) {
 		t.Errorf("AccumScaled with 0 changed the vector")
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	v := Vector{1: 1}
-	c := v.Clone()
-	c.Set(1, 99)
-	if v.Get(1) != 1 {
-		t.Error("Clone shares storage with original")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	v := Vector{1: 2, 2: 6}
-	v.Normalize()
-	if !v.IsDistribution(1e-12) {
-		t.Errorf("Normalize did not produce a distribution: %v", v)
-	}
-	if math.Abs(v.Get(2)-0.75) > 1e-12 {
-		t.Errorf("Get(2) = %v, want 0.75", v.Get(2))
-	}
-	empty := New()
-	empty.Normalize() // must not panic or divide by zero
-	if empty.Len() != 0 {
-		t.Error("Normalize of empty changed it")
-	}
-}
-
 func TestMix(t *testing.T) {
-	a := Vector{1: 1}
-	b := Vector{1: 1, 2: 1}
-	m := Mix([]Vector{a, b}, []float64{0.25, 0.75})
+	a := Freeze(Vector{1: 1})
+	b := Freeze(Vector{1: 1, 2: 1})
+	m := MixDists([]Dist{a, b}, []float64{0.25, 0.75})
 	if math.Abs(m.Get(1)-1) > 1e-12 || math.Abs(m.Get(2)-0.75) > 1e-12 {
-		t.Errorf("Mix = %v", m)
+		t.Errorf("MixDists = %v", m)
 	}
 }
 
 func TestMixPanicsOnLengthMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Mix with mismatched lengths did not panic")
+			t.Error("MixDists with mismatched lengths did not panic")
 		}
 	}()
-	Mix([]Vector{New()}, []float64{1, 2})
+	MixDists([]Dist{{}}, []float64{1, 2})
 }
 
 func TestIndicesSorted(t *testing.T) {
@@ -217,23 +189,6 @@ func randomVector(r *rand.Rand, n int) Vector {
 	return v
 }
 
-func TestQuickNormalizePreservesSupportAndSums(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		v := randomVector(r, int(n%32)+1)
-		// Make all entries positive so Normalize yields a distribution.
-		for i, x := range v {
-			v[i] = math.Abs(x) + 0.001
-		}
-		support := v.Len()
-		v.Normalize()
-		return v.Len() == support && v.IsDistribution(1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickDotSymmetricAndCauchySchwarz(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -253,13 +208,13 @@ func TestQuickDotSymmetricAndCauchySchwarz(t *testing.T) {
 func TestQuickMixOfDistributionsIsDistribution(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		vs := make([]Vector, 3)
-		for k := range vs {
-			vs[k] = randomVector(r, 8)
-			for i, x := range vs[k] {
-				vs[k][i] = math.Abs(x) + 0.001
+		ds := make([]Dist, 3)
+		for k := range ds {
+			v := randomVector(r, 8)
+			for i, x := range v {
+				v[i] = math.Abs(x) + 0.001
 			}
-			vs[k].Normalize()
+			ds[k] = Freeze(v.Scale(1 / v.Sum()))
 		}
 		// Random convex coefficients.
 		cs := []float64{r.Float64(), r.Float64(), r.Float64()}
@@ -267,7 +222,7 @@ func TestQuickMixOfDistributionsIsDistribution(t *testing.T) {
 		for k := range cs {
 			cs[k] /= sum
 		}
-		return Mix(vs, cs).IsDistribution(1e-9)
+		return MixDists(ds, cs).IsDistribution(1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

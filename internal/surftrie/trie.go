@@ -54,9 +54,6 @@ func (t *Trie) Stats() Stats {
 	return Stats{Keys: t.keys, Nodes: len(t.labelLo) - 1, Entries: len(t.entries), LabelBytes: len(t.labels)}
 }
 
-// NumEntries returns the number of indexed entities.
-func (t *Trie) NumEntries() int { return len(t.entries) }
-
 // ---------------------------------------------------------------- build
 
 // bnode is the mutable byte-level trie used during construction; the

@@ -48,7 +48,7 @@ func TestStats(t *testing.T) {
 	if st.Keys != 3 {
 		t.Errorf("Keys = %d, want 3", st.Keys)
 	}
-	if st.Entries != 3 || trie.NumEntries() != 3 {
+	if st.Entries != 3 {
 		t.Errorf("Entries = %d, want 3", st.Entries)
 	}
 	if st.Nodes < 2 || st.LabelBytes == 0 {

@@ -1,9 +1,5 @@
 package textproc
 
-import (
-	"strings"
-)
-
 // Dictionary performs dictionary-based exact matching of multi-word
 // surface forms over a token stream — the paper recognises author and
 // venue objects in web text this way ("using dictionary-based exact
@@ -74,16 +70,6 @@ type Match struct {
 	// TokenStart and TokenEnd delimit the matched tokens,
 	// half-open: tokens[TokenStart:TokenEnd].
 	TokenStart, TokenEnd int
-}
-
-// Surface reconstructs the matched surface text from the token slice
-// the match was produced over.
-func (m Match) Surface(tokens []Token) string {
-	parts := make([]string, 0, m.TokenEnd-m.TokenStart)
-	for _, t := range tokens[m.TokenStart:m.TokenEnd] {
-		parts = append(parts, t.Text)
-	}
-	return strings.Join(parts, " ")
 }
 
 // FindAll scans the token stream left to right and returns all

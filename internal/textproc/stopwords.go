@@ -67,6 +67,3 @@ var stopWords = func() map[string]bool {
 func IsStopWord(tok string) bool {
 	return stopWords[strings.ToLower(tok)]
 }
-
-// NumStopWords returns the size of the stop-word list.
-func NumStopWords() int { return len(stopWords) }

@@ -91,8 +91,8 @@ func TestStopWords(t *testing.T) {
 			t.Errorf("IsStopWord(%q) = true", w)
 		}
 	}
-	if NumStopWords() < 200 {
-		t.Errorf("stop list has only %d words", NumStopWords())
+	if len(stopWords) < 200 {
+		t.Errorf("stop list has only %d words", len(stopWords))
 	}
 }
 
@@ -118,8 +118,9 @@ func TestDictionaryLongestMatch(t *testing.T) {
 	if matches[2].Value != 1 {
 		t.Errorf("third match value = %v, want Wei Wang (longest)", matches[2].Value)
 	}
-	if got := matches[2].Surface(toks); got != "Wei Wang" {
-		t.Errorf("Surface = %q", got)
+	// The text ends with "Wei Wang": the match spans its last two tokens.
+	if m := matches[2]; m.TokenStart != len(toks)-2 || m.TokenEnd != len(toks) {
+		t.Errorf("third match spans tokens [%d, %d) of %d, want the last two", m.TokenStart, m.TokenEnd, len(toks))
 	}
 }
 
