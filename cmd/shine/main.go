@@ -76,8 +76,6 @@ func main() {
 		err = cmdSnapshot(os.Args[2:])
 	case "bench":
 		err = cmdBench(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
 	case "update":
 		err = cmdUpdate(os.Args[2:])
 	case "help", "-h", "--help":
@@ -153,14 +151,6 @@ Commands:
          imdb, centrality, all. -csv also writes the data of table2,
          table4, table5, fig3, fig4, fig5, fig6 and centrality as
          NAME.csv (fig3 as figure3.csv) into DIR.
-  loadgen -addr URL [-mode single|batch|both] [-docs N] [-concurrency N]
-         [-rate F] [-warmup N] [-seed N] [-authors N] [-groups N]
-         [-numdocs N] [-wait-ready D] [-max-failures N] [-json FILE]
-         Drive a running server with synthetic documents and report
-         end-to-end docs/sec and p50/p95/p99 latency per endpoint
-         (/v1/link and the /v1/link/batch NDJSON stream). The dataset
-         flags must match the server's "shine gen" flags so mentions
-         resolve; -max-failures 0 turns the run into a smoke check.
   update -addr URL [-in FILE] [-timeout D]
          Apply an incremental graph delta to a running server via
          POST /v1/admin/update. The input (a file, or stdin with

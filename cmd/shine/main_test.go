@@ -6,12 +6,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"shine/internal/pagerank"
+	"shine/internal/synth"
 )
 
 // cliEnv, when set in the environment, makes the test binary run as
@@ -56,7 +64,7 @@ func buildFixture(dir string) error {
 		{"snapshot", "build", "-graph", f.graph, "-docs", f.docs, "-out", f.snap},
 		{"snapshot", "build", "-graph", f.graph, "-docs", f.docs, "-out", f.cold, "-precompute=false"},
 	} {
-		r, err := run(args...)
+		r, err := run(nil, args...)
 		if err == nil && r.code != 0 {
 			err = fmt.Errorf("shine %s: exit %d\n%s", strings.Join(args, " "), r.code, r.stderr)
 		}
@@ -80,20 +88,30 @@ type result struct {
 	code           int
 }
 
-// run runs the CLI with args and no stdin. A run that outlives the
-// timeout is an error, so a command that wrongly starts serving cannot
-// hang the suite.
-func run(args ...string) (result, error) {
+// command is the CLI with args: the test binary re-executed as shine,
+// killed if ctx ends first.
+func command(ctx context.Context, args ...string) (*exec.Cmd, error) {
 	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	cmd := exec.CommandContext(ctx, exe, args...)
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	return cmd, nil
+}
+
+// run runs the CLI with args, reading stdin from in (nil: no stdin). A
+// run that outlives the timeout is an error, so a command that wrongly
+// starts serving cannot hang the suite.
+func run(in io.Reader, args ...string) (result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd, err := command(ctx, args...)
 	if err != nil {
 		return result{}, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, exe, args...)
-	cmd.Env = append(os.Environ(), cliEnv+"=1")
 	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	cmd.Stdin, cmd.Stdout, cmd.Stderr = in, &stdout, &stderr
 	err = cmd.Run()
 	if ctx.Err() != nil {
 		return result{}, fmt.Errorf("shine %s: still running after the timeout", strings.Join(args, " "))
@@ -112,7 +130,7 @@ func run(args ...string) (result, error) {
 // out; the exit code is the caller's to check.
 func runCLI(t *testing.T, args ...string) result {
 	t.Helper()
-	r, err := run(args...)
+	r, err := run(nil, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +140,16 @@ func runCLI(t *testing.T, args ...string) result {
 // mustRun runs the CLI and fails the test unless it exits 0.
 func mustRun(t *testing.T, args ...string) result {
 	t.Helper()
-	r := runCLI(t, args...)
+	return mustRunIn(t, nil, args...)
+}
+
+// mustRunIn is mustRun with stdin read from in.
+func mustRunIn(t *testing.T, in io.Reader, args ...string) result {
+	t.Helper()
+	r, err := run(in, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.code != 0 {
 		t.Fatalf("shine %s: exit %d\n%s", strings.Join(args, " "), r.code, r.stderr)
 	}
@@ -132,7 +159,8 @@ func mustRun(t *testing.T, args ...string) result {
 // TestExitCodes pins the CLI's exit-code contract: 0 on success, 2 for
 // a usage error (no command, unknown command, bad flag), 1 when a
 // well-formed command fails at run time. The removed surfaces — the
-// train command and every -model flag — fail as usage errors.
+// train and loadgen commands and every -model flag — fail as usage
+// errors.
 func TestExitCodes(t *testing.T) {
 	f := fixture
 	missing := filepath.Join(t.TempDir(), "missing.hin")
@@ -148,6 +176,7 @@ func TestExitCodes(t *testing.T) {
 		{"bad flag", []string{"link", "-no-such-flag"}, 2, "-no-such-flag"},
 		{"runtime error", []string{"link", "-graph", missing, "-docs", f.docs}, 1, "missing.hin"},
 		{"train removed", []string{"train", "-graph", f.graph, "-docs", f.docs}, 2, `unknown command "train"`},
+		{"loadgen removed", []string{"loadgen"}, 2, `unknown command "loadgen"`},
 		{"link -model removed", []string{"link", "-model", "m.json"}, 2, "-model"},
 		{"annotate -model removed", []string{"annotate", "-model", "m.json"}, 2, "-model"},
 		{"serve -model removed", []string{"serve", "-model", "m.json"}, 2, "-model"},
@@ -318,5 +347,219 @@ func TestBenchFig3WritesCSV(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if lines[0] != "candidate,object,type,prob" || len(lines) < 2 {
 		t.Errorf("figure3.csv = %q, want the header candidate,object,type,prob and data rows", data)
+	}
+}
+
+// TestSnapshotBackends: for every popularity backend, snapshot build
+// writes an artifact that inspect reports with that backend, link
+// serves with an accuracy line and annotate on stdin finds and links a
+// mention; an artifact refuses a -popularity naming another backend.
+func TestSnapshotBackends(t *testing.T) {
+	f := fixture
+	dir := t.TempDir()
+	page, err := os.ReadFile(f.text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range pagerank.CentralityNames() {
+		t.Run(backend, func(t *testing.T) {
+			snap := filepath.Join(dir, backend+".snap")
+			mustRun(t, "snapshot", "build", "-graph", f.graph, "-docs", f.docs, "-popularity", backend, "-out", snap)
+			if out := mustRun(t, "snapshot", "inspect", snap).stdout; !strings.Contains(out, "centrality="+backend) {
+				t.Errorf("snapshot inspect does not report centrality=%s:\n%s", backend, out)
+			}
+			if out := mustRun(t, "link", "-snapshot", snap, "-popularity", backend, "-docs", f.docs).stdout; !strings.Contains(out, "\naccuracy: ") {
+				t.Errorf("link printed no accuracy line:\n%s", out)
+			}
+			if out := mustRunIn(t, bytes.NewReader(page), "annotate", "-snapshot", snap, "-popularity", backend).stdout; !strings.Contains(out, "\n[") {
+				t.Errorf("annotate on stdin printed no annotation row:\n%s", out)
+			}
+		})
+	}
+	t.Run("degree artifact with -popularity hits", func(t *testing.T) {
+		r := runCLI(t, "link", "-snapshot", filepath.Join(dir, "degree.snap"), "-popularity", "hits", "-docs", f.docs)
+		if r.code != 1 || !strings.Contains(r.stderr, `built with centrality backend "degree"`) {
+			t.Errorf("exit %d, stderr %q; want exit 1 naming the artifact's backend", r.code, r.stderr)
+		}
+	})
+}
+
+// smokeDelta is a self-contained graph delta for shine update: a new
+// author, venue and paper with edges among them.
+const smokeDelta = `{"op":"object","type":"author","name":"Delta Smoke Author"}
+{"op":"object","type":"venue","name":"Delta Smoke Venue"}
+{"op":"object","type":"paper","name":"delta smoke paper"}
+{"op":"edge","rel":"write","src":{"type":"author","name":"Delta Smoke Author"},"dst":{"type":"paper","name":"delta smoke paper"}}
+{"op":"edge","rel":"publish","src":{"type":"venue","name":"Delta Smoke Venue"},"dst":{"type":"paper","name":"delta smoke paper"}}
+`
+
+// TestServeSmoke boots serve from the artifact on a loopback port and
+// links every fixture document over /v1/link and /v1/link/batch, then
+// again after shine update has swapped in a new generation. SIGTERM
+// must then drain the server to exit 0.
+func TestServeSmoke(t *testing.T) {
+	f := fixture
+	docs, err := loadDocs(f.docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	// The deadline kills a server that hangs, so every wait below ends.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	srv, err := command(ctx, "serve", "-snapshot", f.snap, "-addr", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var output bytes.Buffer
+	srv.Stdout, srv.Stderr = &output, &output
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var exitErr error
+	go func() {
+		exitErr = srv.Wait()
+		close(done)
+	}()
+	t.Cleanup(func() {
+		<-done
+		if t.Failed() {
+			t.Logf("shine serve output:\n%s", output.String())
+		}
+	})
+
+	base := "http://" + addr
+	for {
+		resp, err := http.Get(base + "/v1/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+		}
+		select {
+		case <-done:
+			t.Fatalf("shine serve exited before it was ready: %v", exitErr)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+
+	linkAll(t, base, docs)
+	r := mustRunIn(t, strings.NewReader(smokeDelta), "update", "-addr", base)
+	if !strings.Contains(r.stdout, `"NewObjects":3`) {
+		t.Errorf("update did not report the delta's three objects:\n%s", r.stdout)
+	}
+	linkAll(t, base, docs)
+
+	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if exitErr != nil {
+		t.Errorf("shine serve after SIGTERM: %v, want exit 0", exitErr)
+	}
+}
+
+// linkAll posts every document to /v1/link from four goroutines and
+// sends them all through each of four concurrent /v1/link/batch
+// streams. Every document must link.
+func linkAll(t *testing.T, base string, docs []synth.RawDoc) {
+	t.Helper()
+	const clients = 4
+	jobs := make(chan synth.RawDoc)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for d := range jobs {
+				if err := postLink(base, d); err != nil {
+					t.Errorf("/v1/link %s: %v", d.ID, err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if err := postBatch(base, docs); err != nil {
+				t.Errorf("/v1/link/batch stream %d: %v", i, err)
+			}
+		}()
+	}
+	for _, d := range docs {
+		jobs <- d
+	}
+	close(jobs)
+	wg.Wait()
+}
+
+// postLink links one document over /v1/link.
+func postLink(base string, d synth.RawDoc) error {
+	body, err := json.Marshal(map[string]string{"mention": d.Mention, "text": d.Text})
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(base+"/v1/link", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	msg, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("answered %s: %s", resp.Status, msg)
+	}
+	return err
+}
+
+// postBatch streams the documents through one /v1/link/batch request.
+// Every line must be answered in order without an error, and the
+// summary trailer must close the stream and count no failures.
+func postBatch(base string, docs []synth.RawDoc) error {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for _, d := range docs {
+		// Encoding strings into a bytes.Buffer cannot fail.
+		_ = enc.Encode(map[string]string{"id": d.ID, "mention": d.Mention, "text": d.Text})
+	}
+	resp, err := http.Post(base+"/v1/link/batch", "application/x-ndjson", &body)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("answered %s: %s", resp.Status, msg)
+	}
+	dec := json.NewDecoder(resp.Body)
+	for i := 0; ; i++ {
+		var line struct {
+			ID, Error string
+			Summary   *struct{ Docs, Failures int }
+		}
+		if err := dec.Decode(&line); err == io.EOF {
+			return fmt.Errorf("stream ended after %d of %d lines with no summary trailer", i, len(docs))
+		} else if err != nil {
+			return fmt.Errorf("reading line %d: %w", i, err)
+		}
+		switch {
+		case line.Summary != nil:
+			if i != len(docs) || line.Summary.Docs != len(docs) || line.Summary.Failures != 0 {
+				return fmt.Errorf("summary %+v after %d lines, want %d docs and no failures", *line.Summary, i, len(docs))
+			}
+			if dec.More() {
+				return errors.New("lines after the summary trailer")
+			}
+			return nil
+		case i >= len(docs):
+			return fmt.Errorf("line %d answers none of the %d documents sent: %+v", i, len(docs), line)
+		case line.ID != docs[i].ID || line.Error != "":
+			return fmt.Errorf("line %d is %+v, want a link of %s", i, line, docs[i].ID)
+		}
 	}
 }

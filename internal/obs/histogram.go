@@ -8,21 +8,18 @@ import (
 	"time"
 )
 
-// DefLatencyBuckets spans 0.5 ms to 10 s — the range a request to the
-// SHINE server plausibly occupies, from cache-hit candidate lookups
-// to cold meta-path walks over hub entities.
-var DefLatencyBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
+// DefLatencyBuckets is the one layout of every latency histogram:
+// 0.25 µs to ~16.8 s, doubling. It spans an exact candidate lookup
+// (about a microsecond), a warm link (tens of microseconds), an HTTP
+// request (~0.1 ms to link, a few ms to annotate) and an EM
+// iteration (tens of milliseconds), so every quantile estimate lands
+// within a factor of two of the cost instead of clamping to a bound.
+var DefLatencyBuckets = ExpBuckets(2.5e-7, 2, 27)
 
 // ExpBuckets returns n bucket bounds growing geometrically from start
-// by factor: start, start·factor, …, start·factor^(n-1). Latencies far
-// below DefLatencyBuckets' first bound (a warm link costs tens of
-// microseconds) need a range of their own, or every observation lands
-// in the first bucket and the quantile estimates say nothing. It
-// panics unless start > 0, factor > 1 and n ≥ 1 — bucket layouts are
-// fixed at wiring time, so a bad one is a programming error.
+// by factor: start, start·factor, …, start·factor^(n-1). It panics
+// unless start > 0, factor > 1 and n ≥ 1 — bucket layouts are fixed
+// at wiring time, so a bad one is a programming error.
 func ExpBuckets(start, factor float64, n int) []float64 {
 	if !(start > 0) || !(factor > 1) || n < 1 || math.IsInf(start, 0) || math.IsInf(factor, 0) {
 		panic(fmt.Sprintf("obs: ExpBuckets(%v, %v, %d): need start > 0, factor > 1, n >= 1", start, factor, n))

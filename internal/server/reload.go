@@ -107,9 +107,9 @@ func (s *Server) loadGeneration() (snapshot.Info, *serving, error) {
 	if err != nil {
 		return snapshot.Info{}, nil, fmt.Errorf("server: materialising snapshot %s: %w", s.snapshotPath, err)
 	}
-	// FuzzyDistance is an execution knob excluded from artifacts;
-	// reapply it so -fuzzy survives the hot swap.
-	if err := m.SetFuzzyDistance(s.fuzzyDistance); err != nil {
+	// Artifacts do not carry the fuzzy distance; the new generation
+	// keeps the serving one's, so -fuzzy survives the hot swap.
+	if err := m.SetFuzzyDistance(s.serving.Load().model.FuzzyDistance()); err != nil {
 		return snapshot.Info{}, nil, fmt.Errorf("server: %w", err)
 	}
 	if s.precompute {

@@ -31,7 +31,7 @@ func writeTestSnapshot(t testing.TB) (string, snapshot.Info) {
 
 func TestReloadSwapsServing(t *testing.T) {
 	path, info := writeTestSnapshot(t)
-	s, _ := testServer(t, Options{SnapshotPath: path})
+	s, _ := testServer(t, Options{SnapshotPath: path, FuzzyDistance: 1})
 
 	w := postJSON(t, s, "/v1/admin/reload", "")
 	if w.Code != http.StatusOK {
@@ -46,6 +46,11 @@ func TestReloadSwapsServing(t *testing.T) {
 	}
 	if resp.Status != "reloaded" || resp.Snapshot.Checksum != info.Checksum {
 		t.Errorf("reload response %+v, want checksum %s", resp, info.Checksum)
+	}
+
+	// The artifact carries no fuzzy distance; the swap keeps -fuzzy.
+	if got := s.serving.Load().model.FuzzyDistance(); got != 1 {
+		t.Errorf("fuzzy distance after reload = %d, want 1", got)
 	}
 
 	// The swapped-in generation serves requests.

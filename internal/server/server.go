@@ -82,9 +82,6 @@ type Server struct {
 	ingestCfg    corpus.IngestConfig
 	minPosterior float64
 	precompute   bool
-	// fuzzyDistance is the serving-path fuzzy fallback distance; it is
-	// reapplied to every hot-swapped model so -fuzzy survives reloads.
-	fuzzyDistance int
 	// snapshotPath, when set, is the artifact POST /v1/admin/reload
 	// (and SIGHUP in the CLI) reloads from.
 	snapshotPath string
@@ -257,7 +254,6 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 		ingestCfg:      ingestCfg,
 		minPosterior:   opts.MinPosterior,
 		precompute:     opts.Precompute,
-		fuzzyDistance:  opts.FuzzyDistance,
 		snapshotPath:   opts.SnapshotPath,
 		maxBodyBytes:   opts.MaxBodyBytes,
 		maxLineBytes:   opts.MaxLineBytes,
@@ -605,7 +601,7 @@ func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "candidate source does not support fuzzy retrieval")
 			return
 		}
-		dist := s.fuzzyDistance
+		dist := sv.model.FuzzyDistance()
 		if dist <= 0 {
 			dist = surftrie.MaxDistance
 		}

@@ -68,16 +68,24 @@ func (m *Model) FuzzyCandidates(mention string, dist int) []hin.ObjectID {
 	return fz.FuzzyCandidates(mention, dist)
 }
 
-// SetFuzzyDistance sets the serving-path fuzzy fallback distance (see
-// Config.FuzzyDistance); 0 disables the fallback. Must not race with
-// concurrent Link calls.
+// SetFuzzyDistance sets the serving-path fuzzy fallback distance: a
+// mention whose exact candidate set is empty is retried against the
+// surface-form trie at this edit distance (at most
+// surftrie.MaxDistance), so noisy OCR-style mentions still reach their
+// candidate block. 0, the default, disables the fallback. Training is
+// unaffected, and artifacts do not carry the distance. Must not race
+// with concurrent Link calls.
 func (m *Model) SetFuzzyDistance(dist int) error {
 	if dist < 0 || dist > surftrie.MaxDistance {
-		return fmt.Errorf("shine: FuzzyDistance %d outside [0, %d]", dist, surftrie.MaxDistance)
+		return fmt.Errorf("shine: fuzzy distance %d outside [0, %d]", dist, surftrie.MaxDistance)
 	}
-	m.cfg.FuzzyDistance = dist
+	m.fuzzyDistance = dist
 	return nil
 }
+
+// FuzzyDistance returns the fuzzy fallback distance SetFuzzyDistance
+// set; 0 when the fallback is off.
+func (m *Model) FuzzyDistance() int { return m.fuzzyDistance }
 
 // lookupCandidates is the serving-path candidate lookup: the exact
 // rules first, then — only when they come up empty, fuzzy fallback is
@@ -93,9 +101,9 @@ func (m *Model) lookupCandidates(mention string) []hin.ObjectID {
 	}
 	out := m.cands.Candidates(mention)
 	fuzzy := false
-	if len(out) == 0 && m.cfg.FuzzyDistance > 0 {
+	if len(out) == 0 && m.fuzzyDistance > 0 {
 		if fz, ok := m.cands.(FuzzyCandidateSource); ok {
-			out = fz.FuzzyCandidates(mention, m.cfg.FuzzyDistance)
+			out = fz.FuzzyCandidates(mention, m.fuzzyDistance)
 			fuzzy = true
 		}
 	}

@@ -23,11 +23,6 @@ func TestSetFuzzyDistanceValidation(t *testing.T) {
 			t.Errorf("SetFuzzyDistance(%d) accepted", dist)
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.FuzzyDistance = surftrie.MaxDistance + 1
-	if err := cfg.Validate(); err == nil {
-		t.Error("Config.Validate accepted an out-of-range FuzzyDistance")
-	}
 }
 
 // TestLookupCandidatesFuzzyFallback: the serving path falls back to

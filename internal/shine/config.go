@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"shine/internal/pagerank"
-	"shine/internal/surftrie"
 )
 
 // PopularityMode selects the entity popularity model P(e).
@@ -102,16 +101,6 @@ type Config struct {
 	// restored model runs with the host's GOMAXPROCS.
 	Workers int `json:"-"`
 
-	// FuzzyDistance, when positive, enables the serving-path fuzzy
-	// fallback: a mention whose exact candidate set is empty is
-	// retried against the surface-form trie at this edit distance
-	// (capped at surftrie.MaxDistance), so noisy OCR-style mentions
-	// still reach their candidate block. Training is unaffected —
-	// prepareCorpus always uses the strict rules. Like Workers it is
-	// an execution knob, excluded from snapshot artifacts; the -fuzzy
-	// CLI flag sets it.
-	FuzzyDistance int `json:"-"`
-
 	// WalkCacheSize bounds the meta-path walk cache.
 	WalkCacheSize int
 	// WalkPruning, when positive, truncates each intermediate random
@@ -188,8 +177,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("shine: SGDBatch %d negative", c.SGDBatch)
 	case c.Workers < 1:
 		return fmt.Errorf("shine: Workers %d must be positive (DefaultConfig uses GOMAXPROCS)", c.Workers)
-	case c.FuzzyDistance < 0 || c.FuzzyDistance > surftrie.MaxDistance:
-		return fmt.Errorf("shine: FuzzyDistance %d outside [0, %d]", c.FuzzyDistance, surftrie.MaxDistance)
 	case c.WalkPruning < 0:
 		return fmt.Errorf("shine: WalkPruning %d negative", c.WalkPruning)
 	case math.IsNaN(c.ProbFloor) || c.ProbFloor <= 0 || c.ProbFloor >= 1e-3:

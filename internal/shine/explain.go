@@ -3,7 +3,6 @@ package shine
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"slices"
 
@@ -51,59 +50,34 @@ func (m *Model) Explain(doc *corpus.Document) (Explanation, error) {
 	return m.ExplainContext(context.Background(), doc)
 }
 
-// ExplainContext is Explain under a request context, with the same
-// cancellation points as LinkContext: between candidates and between
+// ExplainContext is Explain under a request context. It scores the
+// mention exactly as LinkContext does, from the frozen mixture index,
+// with the same cancellation points: between candidates and between
 // walk hops.
 func (m *Model) ExplainContext(ctx context.Context, doc *corpus.Document) (Explanation, error) {
-	cands := m.lookupCandidates(doc.Mention)
-	if len(cands) == 0 {
-		return Explanation{}, fmt.Errorf("%w: %q", ErrNoCandidates, doc.Mention)
-	}
-	md, err := m.prepareMention(ctx, doc, cands)
+	cands, mx, logs, err := m.score(ctx, doc)
 	if err != nil {
 		return Explanation{}, err
 	}
-	weights := m.snapshotWeights()
-	logs := make([]float64, len(cands))
-	for i := range md.cands {
-		logs[i] = m.logJoint(md, i, weights)
-	}
-	// Identify winner and runner-up (Link's ordering: posterior desc,
-	// then ascending ID — identical to log-joint ordering).
-	win, run := 0, -1
-	for i := 1; i < len(cands); i++ {
-		if logs[i] > logs[win] {
-			win = i
-		}
-	}
-	for i := range cands {
-		if i == win {
-			continue
-		}
-		if run < 0 || logs[i] > logs[run] {
-			run = i
-		}
-	}
-
-	ex := Explanation{Entity: cands[win]}
-	if run < 0 {
-		ex.RunnerUp = hin.NoObject
+	// Link's ranking picks the winner and the runner-up.
+	res := rank(cands, logs)
+	ex := Explanation{Entity: res.Entity, RunnerUp: hin.NoObject}
+	if len(cands) == 1 {
 		return ex, nil
 	}
-	ex.RunnerUp = cands[run]
-	ex.Margin = logs[win] - logs[run]
-	ex.PopularityLogOdds = math.Log(math.Max(m.popularity[cands[win]], m.cfg.ProbFloor)) -
-		math.Log(math.Max(m.popularity[cands[run]], m.cfg.ProbFloor))
+	ex.RunnerUp = res.Candidates[1].Entity
+	ex.Margin = res.Candidates[0].LogJoint - res.Candidates[1].LogJoint
+	ex.PopularityLogOdds = math.Log(math.Max(m.popularity[ex.Entity], m.cfg.ProbFloor)) -
+		math.Log(math.Max(m.popularity[ex.RunnerUp], m.cfg.ProbFloor))
 
+	win, run := mx.pe[slices.Index(cands, ex.Entity)], mx.pe[slices.Index(cands, ex.RunnerUp)]
 	g := m.graph
 	theta := m.cfg.Theta
 	for oi, oc := range doc.Objects {
-		pv := func(ci int) float64 {
-			pe := 0.0
-			for pi := range weights {
-				pe += weights[pi] * md.cands[ci].pathProb[pi][oi]
-			}
-			return math.Max(theta*pe+(1-theta)*md.generic[oi], m.cfg.ProbFloor)
+		// Pv as logJointFrozen scores it, from the candidate's
+		// mixture row.
+		pv := func(row []float64) float64 {
+			return math.Max(theta*row[oi]+(1-theta)*mx.generic[oi], m.cfg.ProbFloor)
 		}
 		ex.Objects = append(ex.Objects, ObjectContribution{
 			Object:  oc.Object,

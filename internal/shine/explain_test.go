@@ -106,5 +106,15 @@ func TestExplainAgreesWithLink(t *testing.T) {
 		if ex.Entity != r.Entity {
 			t.Errorf("doc %s: Explain winner %d != Link winner %d", doc.ID, ex.Entity, r.Entity)
 		}
+		// Both score from the frozen mixtures, so the margin is Link's
+		// log-joint gap to the bit.
+		if len(r.Candidates) < 2 {
+			continue
+		}
+		win, run := r.Candidates[0], r.Candidates[1]
+		if ex.RunnerUp != run.Entity || math.Float64bits(ex.Margin) != math.Float64bits(win.LogJoint-run.LogJoint) {
+			t.Errorf("doc %s: Explain runner-up %d, margin %v; Link runner-up %d, log-joint gap %v",
+				doc.ID, ex.RunnerUp, ex.Margin, run.Entity, win.LogJoint-run.LogJoint)
+		}
 	}
 }

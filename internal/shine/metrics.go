@@ -106,17 +106,6 @@ const (
 // in real networks is small-integer-valued with a heavy tail.
 var candidateBuckets = []float64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
 
-// linkSecondsBuckets bound the link latency and stream residency
-// histograms: 4 µs to ~0.5 s, doubling — a warm link costs tens of
-// microseconds, a cold walk over a hub entity hundreds of
-// milliseconds.
-var linkSecondsBuckets = obs.ExpBuckets(4e-6, 2, 18)
-
-// candidateSecondsBuckets bound the candidate-lookup latency
-// histogram: 0.25 µs to ~8 ms, doubling — an exact trie lookup costs
-// about a microsecond, a fuzzy fallback tens of microseconds.
-var candidateSecondsBuckets = obs.ExpBuckets(2.5e-7, 2, 16)
-
 // modelMetrics bundles the model's instruments. A nil *modelMetrics
 // is valid and records nothing, so every hot path pays one pointer
 // check when uninstrumented.
@@ -159,7 +148,7 @@ func (m *Model) SetMetrics(reg *obs.Registry) {
 	reg.Register(m.walker)
 	reg.Register(&m.mixtures)
 	m.metrics = &modelMetrics{
-		linkSeconds:    reg.Histogram(MetricLinkSeconds, linkSecondsBuckets),
+		linkSeconds:    reg.Histogram(MetricLinkSeconds, nil),
 		linkCandidates: reg.Histogram(MetricLinkCandidates, candidateBuckets),
 		linkTotal:      reg.Counter(MetricLinkTotal),
 		linkFailures:   reg.Counter(MetricLinkFailures),
@@ -174,10 +163,10 @@ func (m *Model) SetMetrics(reg *obs.Registry) {
 		cenColdStarts:  reg.Counter(MetricCentralityColdRestarts),
 		candLookups:    reg.Counter(MetricCandidatesLookups),
 		candFuzzy:      reg.Counter(MetricCandidatesFuzzy),
-		candSeconds:    reg.Histogram(MetricCandidatesSeconds, candidateSecondsBuckets),
+		candSeconds:    reg.Histogram(MetricCandidatesSeconds, nil),
 		streamDocs:     reg.Counter(MetricStreamDocs),
 		streamInFlight: reg.Gauge(MetricStreamInFlight),
-		streamSeconds:  reg.Histogram(MetricStreamSeconds, linkSecondsBuckets),
+		streamSeconds:  reg.Histogram(MetricStreamSeconds, nil),
 	}
 	// Identify the backend that produced this model's popularity
 	// section; under the uniform model no centrality ran at all.

@@ -142,25 +142,47 @@ func TestUninstrumentedModelLinks(t *testing.T) {
 	}
 }
 
-// TestLatencyBucketsResolveMeasuredCosts: the latency histograms'
-// ranges bracket the per-layer medians the repository benchmark
-// records (bench/README.md, per-layer baseline, seed 1, both traced
-// runs of both workloads), so their p50 estimates land within a
-// factor of two of the cost rather than clamping to a bound far from
-// it — the failure mode of the 0.5 ms–10 s default buckets.
+// TestLatencyBucketsResolveMeasuredCosts: every latency histogram's
+// buckets bracket the costs measured for it, so its p50 estimate lands
+// within a factor of two of the cost rather than clamping to a bound
+// far from it — the failure mode of the old 0.5 ms–10 s buckets on the
+// HTTP histogram. The costs are the per-layer medians the repository
+// benchmark records (bench/README.md, per-layer baseline, seed 1, both
+// traced runs of both workloads) and the EM means of one
+// `shine serve -graph -docs` boot on the default `shine gen` dataset
+// (2 vCPUs). Every _seconds histogram the model registers needs a row.
 func TestLatencyBucketsResolveMeasuredCosts(t *testing.T) {
 	f := newFixture(t)
 	m := newModel(t, f, nil)
 	reg := obs.NewRegistry()
 	m.SetMetrics(reg)
-	for _, tc := range []struct {
+	cases := []struct {
 		metric, layer string
 		medianUS      []float64
 	}{
 		{MetricLinkSeconds, "shine.link_us", []float64{26.21, 30.93, 40.45, 45.26}},
 		{MetricCandidatesSeconds, "surftrie.lookup_us", []float64{1.226, 1.231, 1.447, 1.481}},
 		{MetricStreamSeconds, "shine.stream_doc_us", []float64{20.44, 21.1, 27.42, 30.99}},
-	} {
+		{obs.MetricHTTPRequestSeconds, "server.handler_us", []float64{83.33, 98.44, 5655, 6488}},
+		{MetricEMIterationSeconds, "EM iteration", []float64{54215}},
+		{MetricEMPrepareSeconds, "EM prepare", []float64{96058}},
+	}
+	measured := map[string]bool{}
+	for _, tc := range cases {
+		measured[tc.metric] = true
+	}
+	var exposition strings.Builder
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(exposition.String(), "\n") {
+		name, ok := strings.CutPrefix(line, "# TYPE ")
+		name, hist := strings.CutSuffix(name, "_seconds histogram")
+		if ok && hist && !measured[name+"_seconds"] {
+			t.Errorf("%s_seconds has no measured cost to resolve", name)
+		}
+	}
+	for _, tc := range cases {
 		for _, us := range tc.medianUS {
 			v := us * 1e-6
 			// One labelled series per value, sharing the family's

@@ -31,7 +31,7 @@ func TestFrozenLinkMatchesLogJoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := m.snapshotWeights()
+		w := m.Weights()
 		want := make(map[hin.ObjectID]float64, len(cands))
 		for i, e := range cands {
 			want[e] = m.logJoint(md, i, w)
@@ -84,7 +84,7 @@ func TestMixtureInvalidationOnSetWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, e := range cands {
-		want := m.logJoint(md, i, m.snapshotWeights())
+		want := m.logJoint(md, i, m.Weights())
 		for _, cs := range res.Candidates {
 			if cs.Entity == e && cs.LogJoint != want {
 				t.Errorf("entity %d after SetWeights: LogJoint = %v, want %v", e, cs.LogJoint, want)

@@ -76,6 +76,10 @@ type Model struct {
 	// metrics, when non-nil, instruments link and EM hot paths; see
 	// SetMetrics.
 	metrics *modelMetrics
+
+	// fuzzyDistance is the serving-path fuzzy fallback distance; see
+	// SetFuzzyDistance.
+	fuzzyDistance int
 }
 
 // New builds a model: it computes the entity popularity offline (the
@@ -184,16 +188,8 @@ func (m *Model) Paths() []metapath.Path { return m.paths }
 
 // Weights returns a copy of the current meta-path weight vector.
 func (m *Model) Weights() []float64 {
-	return m.snapshotWeights()
-}
-
-// snapshotWeights copies the weight vector under the read lock; the
-// Link hot path scores a whole mention against one consistent
-// snapshot even while Learn installs a new vector.
-func (m *Model) snapshotWeights() []float64 {
-	m.wmu.RLock()
-	defer m.wmu.RUnlock()
-	return append([]float64(nil), m.weights...)
+	w, _ := m.snapshotWeightsVer()
+	return w
 }
 
 // installWeights replaces the weight vector under the write lock and
@@ -298,23 +294,40 @@ func (m *Model) LinkContext(ctx context.Context, doc *corpus.Document) (Result, 
 }
 
 func (m *Model) link(ctx context.Context, doc *corpus.Document) (Result, error) {
-	cands := m.lookupCandidates(doc.Mention)
-	if len(cands) == 0 {
-		return Result{Entity: hin.NoObject}, fmt.Errorf("%w: %q", ErrNoCandidates, doc.Mention)
-	}
-	w, ver := m.snapshotWeightsVer()
-	mx, err := m.prepareMentionMixtures(ctx, doc, cands, w, ver)
+	cands, _, logs, err := m.score(ctx, doc)
 	if err != nil {
 		return Result{Entity: hin.NoObject}, err
 	}
-	logs := make([]float64, len(cands))
+	return rank(cands, logs), nil
+}
+
+// score is the one scoring path of Link, LinkNIL and Explain: the
+// mention's candidates, their frozen mixtures contracted against the
+// document, and each candidate's log-joint. A mention with no
+// candidates is ErrNoCandidates.
+func (m *Model) score(ctx context.Context, doc *corpus.Document) (cands []hin.ObjectID, mx *mentionMixtures, logs []float64, err error) {
+	cands = m.lookupCandidates(doc.Mention)
+	if len(cands) == 0 {
+		return nil, nil, nil, fmt.Errorf("%w: %q", ErrNoCandidates, doc.Mention)
+	}
+	w, ver := m.snapshotWeightsVer()
+	if mx, err = m.prepareMentionMixtures(ctx, doc, cands, w, ver); err != nil {
+		return nil, nil, nil, err
+	}
+	logs = make([]float64, len(cands))
 	for i, e := range cands {
 		logs[i] = m.logJointFrozen(mx, i, e)
 	}
-	post := softmax(logs)
+	return cands, mx, logs, nil
+}
 
-	res := Result{Candidates: make([]CandidateScore, len(cands))}
-	for i, e := range cands {
+// rank turns the log-joints of ents into a Result: their softmax
+// posteriors, sorted by descending posterior with ties broken by
+// ascending entity ID.
+func rank(ents []hin.ObjectID, logs []float64) Result {
+	post := softmax(logs)
+	res := Result{Candidates: make([]CandidateScore, len(ents))}
+	for i, e := range ents {
 		res.Candidates[i] = CandidateScore{Entity: e, LogJoint: logs[i], Posterior: post[i]}
 	}
 	slices.SortFunc(res.Candidates, func(ca, cb CandidateScore) int {
@@ -324,7 +337,7 @@ func (m *Model) link(ctx context.Context, doc *corpus.Document) (Result, error) 
 		return cmp.Compare(ca.Entity, cb.Entity)
 	})
 	res.Entity = res.Candidates[0].Entity
-	return res, nil
+	return res
 }
 
 // logJoint computes ln(η·P(e)·P(d|e)) for candidate i of a prepared

@@ -1,11 +1,10 @@
 package shine
 
 import (
-	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"shine/internal/corpus"
@@ -75,8 +74,8 @@ func (m *Model) linkNIL(ctx context.Context, doc *corpus.Document, nilPrior floa
 	if math.IsNaN(nilPrior) || nilPrior <= 0 || nilPrior >= 1 {
 		return Result{}, fmt.Errorf("shine: NIL prior %v outside (0, 1)", nilPrior)
 	}
-	cands := m.lookupCandidates(doc.Mention)
-	if len(cands) == 0 {
+	cands, _, logs, err := m.score(ctx, doc)
+	if errors.Is(err, ErrNoCandidates) {
 		return Result{
 			Entity: hin.NoObject,
 			Candidates: []CandidateScore{{
@@ -86,8 +85,6 @@ func (m *Model) linkNIL(ctx context.Context, doc *corpus.Document, nilPrior floa
 			}},
 		}, nil
 	}
-	w, ver := m.snapshotWeightsVer()
-	mx, err := m.prepareMentionMixtures(ctx, doc, cands, w, ver)
 	if err != nil {
 		return Result{}, err
 	}
@@ -99,33 +96,14 @@ func (m *Model) linkNIL(ctx context.Context, doc *corpus.Document, nilPrior floa
 	if candMass < m.cfg.ProbFloor {
 		candMass = m.cfg.ProbFloor
 	}
-	logs := make([]float64, len(cands)+1)
 	// (1−π) / Σ P(e') rescales the candidate priors so they compete
 	// with π on equal footing.
 	scale := math.Log(1-nilPrior) - math.Log(candMass)
-	for i, e := range cands {
-		logs[i] = scale + m.logJointFrozen(mx, i, e)
+	for i := range logs {
+		logs[i] += scale
 	}
-	logs[len(cands)] = m.nilLogJoint(doc, nilPrior)
-	post := softmax(logs)
-
-	res := Result{Candidates: make([]CandidateScore, len(logs))}
-	for i, e := range cands {
-		res.Candidates[i] = CandidateScore{Entity: e, LogJoint: logs[i], Posterior: post[i]}
-	}
-	res.Candidates[len(cands)] = CandidateScore{
-		Entity:    hin.NoObject,
-		LogJoint:  logs[len(cands)],
-		Posterior: post[len(cands)],
-	}
-	slices.SortFunc(res.Candidates, func(ca, cb CandidateScore) int {
-		if ca.Posterior != cb.Posterior {
-			return cmp.Compare(cb.Posterior, ca.Posterior)
-		}
-		return cmp.Compare(ca.Entity, cb.Entity)
-	})
-	res.Entity = res.Candidates[0].Entity
-	return res, nil
+	logs = append(logs, m.nilLogJoint(doc, nilPrior))
+	return rank(append(cands, hin.NoObject), logs), nil
 }
 
 // nilLogJoint scores the NIL pseudo-candidate: prior mass times the

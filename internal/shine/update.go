@@ -121,6 +121,9 @@ func (m *Model) WithDelta(d *hin.Delta) (*Model, UpdateStats, error) {
 		generic:    m.generic,
 		cands:      m.cands,
 		trie:       m.trie,
+		// The fuzzy fallback is a serving setting; the new
+		// generation keeps it.
+		fuzzyDistance: m.fuzzyDistance,
 	}
 
 	// Weights and version move together: the migrated mixtures were

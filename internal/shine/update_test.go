@@ -238,11 +238,14 @@ func TestWithDeltaValidation(t *testing.T) {
 }
 
 // TestWithDeltaChained applies several deltas back to back, checking
-// each generation keeps linking correctly and the graph grows as the
-// merged stats claim.
+// each generation keeps linking correctly and keeps the fuzzy fallback
+// distance, and the graph grows as the merged stats claim.
 func TestWithDeltaChained(t *testing.T) {
 	f := newFixture(t)
 	m := newModel(t, f, func(c *Config) { c.Popularity = PopularityUniform })
+	if err := m.SetFuzzyDistance(1); err != nil {
+		t.Fatal(err)
+	}
 	for round := 0; round < 5; round++ {
 		d := m.Graph().Append()
 		p := d.MustAppend(f.d.Paper, fmt.Sprintf("chain-p%d", round))
@@ -262,6 +265,9 @@ func TestWithDeltaChained(t *testing.T) {
 		}
 		if r.Entity != f.ids["w1"] {
 			t.Fatalf("round %d: linked %d, want %d", round, r.Entity, f.ids["w1"])
+		}
+		if got := m.FuzzyDistance(); got != 1 {
+			t.Fatalf("round %d: fuzzy distance %d, want 1", round, got)
 		}
 	}
 	if got := m.Graph().NumObjects(); got != f.g.NumObjects()+5 {

@@ -239,11 +239,14 @@ func (c *cursor) f64s(n int) ([]float64, error) {
 	return out, nil
 }
 
+// bytes returns a copy of the next n bytes, like every other decoder
+// here: a decoded field that aliased the artifact buffer would keep
+// the whole file alive for as long as the model lives.
 func (c *cursor) bytes(n int) ([]byte, error) {
 	if n < 0 || c.remaining() < n {
 		return nil, c.fail("%d bytes declared, %d remain", n, c.remaining())
 	}
-	out := c.b[c.off : c.off+n]
+	out := append([]byte(nil), c.b[c.off:c.off+n]...)
 	c.off += n
 	return out, nil
 }

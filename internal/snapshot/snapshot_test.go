@@ -8,8 +8,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"shine/internal/corpus"
 	"shine/internal/hin"
@@ -327,6 +329,34 @@ func TestWriteFileReadFile(t *testing.T) {
 	if _, err := s.Model(); err != nil {
 		t.Fatalf("Model: %v", err)
 	}
+}
+
+// TestModelReleasesArtifactBuffer: nothing ReadBytes decodes aliases
+// its input, so the artifact buffer is collectable once the model is
+// built, while the model lives on.
+func TestModelReleasesArtifactBuffer(t *testing.T) {
+	data := encodeFixture(t, newFixture(t))
+	freed := make(chan struct{})
+	runtime.SetFinalizer(&data[0], func(*byte) { close(freed) })
+	s, err := snapshot.ReadBytes(data)
+	if err != nil {
+		t.Fatalf("ReadBytes: %v", err)
+	}
+	data = nil
+	m, err := s.Model()
+	if err != nil {
+		t.Fatalf("Model: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(m)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("the artifact buffer is still reachable from the model built from it")
 }
 
 func TestReadRejectsNewerVersion(t *testing.T) {

@@ -87,8 +87,8 @@ func encodeParts(p shine.Parts) ([]byte, error) {
 	}
 	add(secMeta, metaJSON)
 
-	// Section 2: config JSON (Workers and FuzzyDistance carry
-	// json:"-", so artifacts stay host-independent).
+	// Section 2: config JSON (Workers carries json:"-", so artifacts
+	// stay host-independent).
 	cfgJSON, err := json.Marshal(p.Config)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: encoding config: %w", err)
