@@ -90,13 +90,21 @@ type result struct {
 
 // command is the CLI with args: the test binary re-executed as shine,
 // killed if ctx ends first.
+//
+// A race-built child sleeps a second at exit by default (the race
+// runtime's atexit_sleep_ms=1000), a minute over this package's CLI
+// runs, so the child's GORACE turns the sleep off. The sleep only
+// gives other goroutines time to report a race; a race the child
+// detects still makes it exit 66, which every caller's exit-code
+// check catches. Without -race, GORACE is ignored.
 func command(ctx context.Context, args ...string) (*exec.Cmd, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
+	gorace := strings.TrimSpace(os.Getenv("GORACE") + " atexit_sleep_ms=0")
 	cmd := exec.CommandContext(ctx, exe, args...)
-	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	cmd.Env = append(os.Environ(), cliEnv+"=1", "GORACE="+gorace)
 	return cmd, nil
 }
 

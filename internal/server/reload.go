@@ -52,9 +52,9 @@ var errReloadInFlight = fmt.Errorf("server: a reload is already in flight")
 // Reload re-reads the configured snapshot artifact and hot-swaps the
 // serving generation. The expensive work — reading, checksumming,
 // materialising the model, rebuilding the derived indexes — happens
-// before any serving state changes; the swap itself is one atomic
-// pointer store bracketed by a readiness flip. On any failure the old
-// generation keeps serving untouched and the failure counter
+// before any serving state changes; the swap itself is install's one
+// atomic pointer store bracketed by a readiness flip. On any failure
+// the old generation keeps serving untouched and the failure counter
 // increments.
 func (s *Server) Reload() (snapshot.Info, error) {
 	if s.snapshotPath == "" {
@@ -72,20 +72,8 @@ func (s *Server) Reload() (snapshot.Info, error) {
 		return snapshot.Info{}, err
 	}
 
-	// Swap. Readiness drops for the instant between unregistering the
-	// old model's collectors and storing the new generation, so a
-	// scraper or balancer probing mid-swap sees a deliberate not-ready
-	// rather than a half-wired generation. Requests already admitted
-	// keep running on the old generation — its model remains fully
-	// functional, only unobserved.
-	old := s.serving.Load()
-	s.SetReady(false)
-	old.model.UnregisterCollectors(s.metrics)
-	sv.model.SetMetrics(s.metrics)
-	s.serving.Store(sv)
-	s.SetReady(true)
-
 	elapsed := time.Since(start).Seconds()
+	s.install(sv)
 	s.snap.loadSeconds.Set(elapsed)
 	s.snap.bytes.Set(float64(info.Bytes))
 	s.snap.swaps.Inc()
@@ -96,8 +84,7 @@ func (s *Server) Reload() (snapshot.Info, error) {
 }
 
 // loadGeneration does everything short of the swap: artifact read,
-// model materialisation, optional mixture precompute, derived-index
-// rebuild.
+// model materialisation and the derived generation.
 func (s *Server) loadGeneration() (snapshot.Info, *serving, error) {
 	snap, err := snapshot.ReadFile(s.snapshotPath)
 	if err != nil {
@@ -112,13 +99,8 @@ func (s *Server) loadGeneration() (snapshot.Info, *serving, error) {
 	if err := m.SetFuzzyDistance(s.serving.Load().model.FuzzyDistance()); err != nil {
 		return snapshot.Info{}, nil, fmt.Errorf("server: %w", err)
 	}
-	if s.precompute {
-		if err := m.PrecomputeMixtures(); err != nil {
-			return snapshot.Info{}, nil, fmt.Errorf("server: precomputing mixtures: %w", err)
-		}
-	}
 	info := snap.Info()
-	sv, err := buildServing(m, s.ingestCfg, s.minPosterior, &info)
+	sv, err := s.buildServing(m, &info)
 	if err != nil {
 		return snapshot.Info{}, nil, err
 	}

@@ -8,11 +8,11 @@ import (
 	"shine/internal/shine"
 )
 
-// TestMetricsLifecycleSeries: the request-lifecycle series all appear
-// in the Prometheus exposition from the first scrape, whether or not
-// the corresponding option is enabled — dashboards and alerts must
-// not silently reference a series that only exists after the first
-// panic or shed.
+// TestMetricsLifecycleSeries: the request-lifecycle series and the Go
+// runtime gauges all appear in the Prometheus exposition from the
+// first scrape, whether or not the corresponding option is enabled —
+// dashboards and alerts must not silently reference a series that
+// only exists after the first panic or shed.
 func TestMetricsLifecycleSeries(t *testing.T) {
 	s, _ := testServer(t, Options{})
 	// One link so the walker series have been collected at least once.
@@ -34,6 +34,11 @@ func TestMetricsLifecycleSeries(t *testing.T) {
 		"shine_walker_walk_hops_total",
 		"shine_walker_walks_canceled_total",
 		shine.MetricCentralityWarmIterations,
+		"shine_go_heap_live_bytes",
+		"shine_go_heap_goal_bytes",
+		"shine_go_memory_total_bytes",
+		"shine_go_goroutines",
+		"shine_go_gc_cycles_total",
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("exposition missing %s", series)

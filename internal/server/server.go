@@ -11,7 +11,7 @@
 //	POST /v1/explain     {"mention": "...", "text": "..."}      -> evidence breakdown
 //	GET  /v1/candidates?mention=NAME[&loose=1|&fuzzy=1]         -> candidate entities
 //	GET  /v1/entity?id=N                                        -> entity card
-//	GET  /v1/healthz                                            -> liveness
+//	GET  /v1/healthz                                            -> liveness and build identity
 //	GET  /v1/readyz                                             -> readiness
 //	POST /v1/admin/reload                                       -> snapshot hot swap
 //	POST /v1/admin/update  NDJSON stream of graph delta ops     -> incremental update
@@ -40,6 +40,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -123,6 +124,8 @@ type Server struct {
 	reqSeq atomic.Uint64
 	// ready gates GET /v1/readyz; see SetReady.
 	ready atomic.Bool
+	// build identifies the binary in /v1/healthz.
+	build buildIdentity
 }
 
 // Options configures the server.
@@ -202,17 +205,47 @@ type Options struct {
 }
 
 // buildServing derives one serving generation from a model: the
-// ingestion pipeline and the annotator.
-func buildServing(m *shine.Model, ingestCfg corpus.IngestConfig, minPosterior float64, snapInfo *snapshot.Info) (*serving, error) {
-	ing, err := corpus.NewIngester(m.Graph(), ingestCfg)
+// optional mixture precompute, the ingestion pipeline and the
+// annotator. Nothing here touches the serving state, so a failure
+// leaves the current generation serving.
+func (s *Server) buildServing(m *shine.Model, snapInfo *snapshot.Info) (*serving, error) {
+	if s.precompute {
+		if err := m.PrecomputeMixtures(); err != nil {
+			return nil, fmt.Errorf("server: precomputing mixtures: %w", err)
+		}
+	}
+	ing, err := corpus.NewIngester(m.Graph(), s.ingestCfg)
 	if err != nil {
 		return nil, err
 	}
-	ann, err := annotate.New(m, ingestCfg, annotate.Options{MinPosterior: minPosterior})
+	ann, err := annotate.New(m, s.ingestCfg, annotate.Options{MinPosterior: s.minPosterior})
 	if err != nil {
 		return nil, err
 	}
 	return &serving{model: m, ingester: ing, annotator: ann, snapInfo: snapInfo}, nil
+}
+
+// install makes sv the serving generation; boot, Reload and Update
+// all end here. Readiness drops for the instant between detaching the
+// outgoing model's collectors and storing sv, so a probe mid-swap sees
+// a deliberate not-ready rather than a half-wired generation. Requests
+// already admitted finish on the bundle they loaded: the old model
+// stays fully functional, only unobserved.
+//
+// Once readiness is back, install collects. The last cycle ran
+// mid-load, with the artifact buffer, the decoded arrays and any EM,
+// merge or precompute garbage live, and the GC's next goal is twice
+// what that cycle found. Collecting here sets the goal, and with it
+// peak resident memory, from the live model instead (DESIGN.md §12).
+func (s *Server) install(sv *serving) {
+	s.SetReady(false)
+	if old := s.serving.Load(); old != nil {
+		old.model.UnregisterCollectors(s.metrics)
+	}
+	sv.model.SetMetrics(s.metrics)
+	s.serving.Store(sv)
+	s.SetReady(true)
+	runtime.GC()
 }
 
 // New builds a server over a (typically trained) model.
@@ -235,15 +268,11 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 	if math.IsNaN(opts.NILPrior) || opts.NILPrior < 0 || opts.NILPrior >= 1 {
 		return nil, fmt.Errorf("server: NIL prior %v outside [0, 1)", opts.NILPrior)
 	}
-	if err := m.SetFuzzyDistance(opts.FuzzyDistance); err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	sv, err := buildServing(m, ingestCfg, opts.MinPosterior, opts.SnapshotInfo)
-	if err != nil {
-		return nil, err
-	}
 	if opts.RequestTimeout < 0 {
 		return nil, fmt.Errorf("server: negative request timeout %v", opts.RequestTimeout)
+	}
+	if err := m.SetFuzzyDistance(opts.FuzzyDistance); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -266,8 +295,13 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 		snap:           newSnapshotMetrics(reg),
 		delta:          newDeltaMetrics(reg),
 		requestTimeout: opts.RequestTimeout,
+		build:          readBuildIdentity(),
 	}
-	s.serving.Store(sv)
+	sv, err := s.buildServing(m, opts.SnapshotInfo)
+	if err != nil {
+		return nil, err
+	}
+	reg.Register(goRuntime{})
 	if opts.SnapshotInfo != nil {
 		s.snap.bytes.Set(float64(opts.SnapshotInfo.Bytes))
 	}
@@ -280,15 +314,6 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 			queued = 0
 		}
 		s.limiter = newLimiter(opts.MaxInFlight, queued, s.lifecycle)
-	}
-	// Instrument the model into the same registry (idempotent if the
-	// caller already did); no requests are flowing yet, so this cannot
-	// race with Link.
-	m.SetMetrics(reg)
-	if opts.Precompute {
-		if err := m.PrecomputeMixtures(); err != nil {
-			return nil, fmt.Errorf("server: precomputing mixtures: %w", err)
-		}
 	}
 	// Model-serving endpoints run under the request lifecycle
 	// (deadline + admission control); ops endpoints do not — a load
@@ -317,10 +342,10 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	// Construction (including any eager precompute above) is done;
-	// the server can take traffic. Deployments flip this off around
+	// Construction (including any eager precompute) is done; the
+	// server can take traffic. Deployments flip readiness off around
 	// maintenance via SetReady.
-	s.SetReady(true)
+	s.install(sv)
 	return s, nil
 }
 
@@ -662,7 +687,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status   string         `json:"status"`
 		Objects  int            `json:"objects"`
 		Snapshot *snapshot.Info `json:"snapshot,omitempty"`
-	}{"ok", sv.model.Graph().NumObjects(), sv.snapInfo})
+		Build    buildIdentity  `json:"build"`
+	}{"ok", sv.model.Graph().NumObjects(), sv.snapInfo, s.build})
 }
 
 // ---------------------------------------------------------------- helpers

@@ -6,6 +6,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -222,6 +224,8 @@ func TestEntityEndpoint(t *testing.T) {
 	}
 }
 
+// TestHealthz: liveness also names the binary — the Go version that
+// built it, and the VCS stamp exactly when the build carries one.
 func TestHealthz(t *testing.T) {
 	s, _ := testServer(t, Options{})
 	req := httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
@@ -229,6 +233,26 @@ func TestHealthz(t *testing.T) {
 	s.ServeHTTP(w, req)
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"ok"`) {
 		t.Errorf("healthz = %d %s", w.Code, w.Body.String())
+	}
+	var resp struct {
+		Build map[string]any `json:"build"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("decoding healthz: %v", err)
+	}
+	if got := resp.Build["goVersion"]; got != runtime.Version() {
+		t.Errorf("build.goVersion = %v, want %s", got, runtime.Version())
+	}
+	stamped := false
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			stamped = stamped || kv.Key == "vcs.revision"
+		}
+	}
+	for _, field := range []string{"vcsRevision", "vcsModified"} {
+		if _, ok := resp.Build[field]; ok != stamped {
+			t.Errorf("build.%s present = %v, want %v, as the binary's VCS stamp", field, ok, stamped)
+		}
 	}
 }
 

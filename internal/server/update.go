@@ -222,27 +222,12 @@ func (s *Server) Update(r io.Reader) (shine.UpdateStats, error) {
 		s.delta.failures.Inc()
 		return zero, err
 	}
-	if s.precompute {
-		if err := m2.PrecomputeMixtures(); err != nil {
-			s.delta.failures.Inc()
-			return zero, fmt.Errorf("server: precomputing mixtures: %w", err)
-		}
-	}
-	nsv, err := buildServing(m2, s.ingestCfg, s.minPosterior, sv.snapInfo)
+	nsv, err := s.buildServing(m2, sv.snapInfo)
 	if err != nil {
 		s.delta.failures.Inc()
 		return zero, err
 	}
-
-	// Same swap dance as Reload: readiness drops for the instant
-	// between unhooking the old generation's collectors and storing
-	// the new one; admitted requests finish on the generation they
-	// loaded.
-	s.SetReady(false)
-	sv.model.UnregisterCollectors(s.metrics)
-	m2.SetMetrics(s.metrics)
-	s.serving.Store(nsv)
-	s.SetReady(true)
+	s.install(nsv)
 
 	s.delta.merges.Inc()
 	s.delta.edges.Add(uint64(stats.NewEdges))

@@ -203,25 +203,18 @@ func (c *cursor) u32() (uint32, error) {
 	return v, nil
 }
 
-func (c *cursor) u32s(n int) ([]uint32, error) {
+// words decodes the next n little-endian 32-bit words straight into a
+// []T. The destination is the decoded field's own type (uint32
+// offsets, int32 indices, hin.ObjectID adjacency, hin.TypeID types),
+// so each array is allocated once, never decoded as []int32 and
+// copied.
+func words[T ~int32 | ~uint32](c *cursor, n int) ([]T, error) {
 	if n < 0 || c.remaining()/4 < n {
-		return nil, c.fail("%d uint32s declared, %d bytes remain", n, c.remaining())
+		return nil, c.fail("%d 32-bit words declared, %d bytes remain", n, c.remaining())
 	}
-	out := make([]uint32, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = le.Uint32(c.b[c.off+4*i:])
-	}
-	c.off += 4 * n
-	return out, nil
-}
-
-func (c *cursor) i32s(n int) ([]int32, error) {
-	if n < 0 || c.remaining()/4 < n {
-		return nil, c.fail("%d int32s declared, %d bytes remain", n, c.remaining())
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(le.Uint32(c.b[c.off+4*i:]))
+		out[i] = T(le.Uint32(c.b[c.off+4*i:]))
 	}
 	c.off += 4 * n
 	return out, nil

@@ -168,7 +168,7 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	n := int(nu)
-	typeOf, err := c.i32s(n)
+	types, err := words[hin.TypeID](c, n)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +176,7 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	nameOffs, err := c.u32s(n + 1)
+	nameOffs, err := words[uint32](c, n+1)
 	if err != nil {
 		return nil, err
 	}
@@ -191,13 +191,11 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: name offsets span [%d, %d] over %d bytes", nameOffs[0], nameOffs[n], nameBytes)
 	}
 	names := make([]string, n)
-	types := make([]hin.TypeID, n)
 	for v := 0; v < n; v++ {
 		if nameOffs[v+1] < nameOffs[v] || nameOffs[v+1] > nameBytes {
 			return nil, fmt.Errorf("snapshot: name offsets decrease at object %d", v)
 		}
 		names[v] = string(blob[nameOffs[v]:nameOffs[v+1]])
-		types[v] = hin.TypeID(typeOf[v])
 	}
 
 	// Section 4: CSR adjacency.
@@ -212,7 +210,7 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 	offs := make([][]int32, numRelsU)
 	adjs := make([][]hin.ObjectID, numRelsU)
 	for rel := range offs {
-		off, err := c.i32s(n + 1)
+		off, err := words[int32](c, n+1)
 		if err != nil {
 			return nil, err
 		}
@@ -223,12 +221,12 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		if off[n] != int32(m) {
 			return nil, fmt.Errorf("snapshot: relation %d declares %d links, offsets end at %d", rel, m, off[n])
 		}
-		adj, err := c.i32s(int(m))
+		adj, err := words[hin.ObjectID](c, int(m))
 		if err != nil {
 			return nil, err
 		}
 		offs[rel] = off
-		adjs[rel] = objectIDsFromInt32(adj)
+		adjs[rel] = adj
 	}
 	if err := c.done(); err != nil {
 		return nil, err
@@ -275,7 +273,7 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	gidx, err := c.i32s(int(gN))
+	gidx, err := words[int32](c, int(gN))
 	if err != nil {
 		return nil, err
 	}
@@ -297,11 +295,11 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	ents, err := c.i32s(int(mixN))
+	ents, err := words[hin.ObjectID](c, int(mixN))
 	if err != nil {
 		return nil, err
 	}
-	cum, err := c.u32s(int(mixN) + 1)
+	cum, err := words[uint32](c, int(mixN)+1)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +312,7 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		}
 	}
 	totalNNZ := int(cum[mixN])
-	midx, err := c.i32s(totalNNZ)
+	midx, err := words[int32](c, totalNNZ)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +330,7 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: mixture for entity %d: %w", ents[i], err)
 		}
-		mixtures[i] = shine.MixtureEntry{Entity: hin.ObjectID(ents[i]), Mixture: d}
+		mixtures[i] = shine.MixtureEntry{Entity: ents[i], Mixture: d}
 	}
 
 	// Section 9 (format v2+): the frozen surface-form trie. Version-1
@@ -357,15 +355,15 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		labelLo, err := c.u32s(nodes + 1)
+		labelLo, err := words[uint32](c, nodes+1)
 		if err != nil {
 			return nil, err
 		}
-		childLo, err := c.u32s(nodes + 1)
+		childLo, err := words[uint32](c, nodes+1)
 		if err != nil {
 			return nil, err
 		}
-		entryLo, err := c.u32s(nodes + 1)
+		entryLo, err := words[uint32](c, nodes+1)
 		if err != nil {
 			return nil, err
 		}
@@ -373,7 +371,7 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		refs, err := c.u32s(int(refsN))
+		refs, err := words[uint32](c, int(refsN))
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +379,7 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		trieEnts, err := c.i32s(int(entsN))
+		trieEnts, err := words[int32](c, int(entsN))
 		if err != nil {
 			return nil, err
 		}
@@ -425,12 +423,4 @@ func sectionName(id uint32) string {
 		return name
 	}
 	return fmt.Sprintf("#%d", id)
-}
-
-func objectIDsFromInt32(xs []int32) []hin.ObjectID {
-	out := make([]hin.ObjectID, len(xs))
-	for i, x := range xs {
-		out[i] = hin.ObjectID(x)
-	}
-	return out
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"testing"
 	"time"
@@ -357,6 +358,73 @@ func TestModelReleasesArtifactBuffer(t *testing.T) {
 		}
 	}
 	t.Error("the artifact buffer is still reachable from the model built from it")
+}
+
+// TestModelLiveHeapBoundedByArtifact bounds what one model generation
+// retains: a model read with ReadFile holds at most 1.25× its
+// artifact's bytes of live heap. The artifact is mostly the frozen
+// mixture index, which the model holds in the same flat arrays, so
+// anything well above 1× is a decoding leftover kept alive. The ratio
+// falls as the index grows: 1.16× at 150 authors, 1.10× at the 300
+// used here, ~1.05× on the `shine gen` default network.
+func TestModelLiveHeapBoundedByArtifact(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.snap")
+	info := writeSynthArtifact(t, path)
+	before := liveHeap()
+	s, err := snapshot.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	m, err := s.Model()
+	if err != nil {
+		t.Fatalf("Model: %v", err)
+	}
+	s = nil
+	held := float64(liveHeap()) - float64(before)
+	runtime.KeepAlive(m)
+	ratio := held / float64(info.Bytes)
+	t.Logf("model holds %.0f KiB of live heap for a %d KiB artifact (%.2f×)", held/1024, info.Bytes/1024, ratio)
+	if ratio > 1.25 {
+		t.Errorf("model holds %.2f× its artifact's bytes of live heap, want at most 1.25×", ratio)
+	}
+}
+
+// writeSynthArtifact builds a model over a 300-author synthetic
+// network, precomputes its mixtures at the initial weights and writes
+// it to path. Nothing of the model outlives the call.
+func writeSynthArtifact(t *testing.T, path string) snapshot.Info {
+	t.Helper()
+	net := synth.DefaultDBLPConfig()
+	net.RegularAuthors = 300
+	doc := synth.DefaultDocConfig()
+	doc.NumDocs = 40
+	ds, err := synth.BuildDataset(net, doc)
+	if err != nil {
+		t.Fatalf("BuildDataset: %v", err)
+	}
+	d := ds.Data.Schema
+	m, err := shine.New(ds.Data.Graph, d.Author, metapath.DBLPPaperPaths(d), ds.Corpus, shine.DefaultConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := m.PrecomputeMixtures(); err != nil {
+		t.Fatalf("PrecomputeMixtures: %v", err)
+	}
+	info, err := snapshot.WriteFile(path, m.Parts())
+	if err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	return info
+}
+
+// liveHeap collects and reads the heap the collection found live. The
+// second collection empties what sync.Pools kept through the first.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 func TestReadRejectsNewerVersion(t *testing.T) {
