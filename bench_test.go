@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -950,8 +952,11 @@ func BenchmarkLinkParallel10K(b *testing.B) {
 // with BenchmarkSnapshotColdRebuild, the path the artifact replaces.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	e := benchEnv(b)
-	m := linkModel(b, e)
-	data, err := snapshot.Encode(m.Parts())
+	path := filepath.Join(b.TempDir(), "model.snap")
+	if _, err := snapshot.WriteFile(path, linkModel(b, e).Parts()); err != nil {
+		b.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1003,18 +1008,20 @@ func BenchmarkSnapshotColdRebuild(b *testing.B) {
 }
 
 // BenchmarkSnapshotWrite measures producing the artifact (Parts
-// decomposition + encode), the offline half of the pipeline.
+// decomposition, encode and the atomic file write), the offline half
+// of the pipeline.
 func BenchmarkSnapshotWrite(b *testing.B) {
 	e := benchEnv(b)
 	m := linkModel(b, e)
-	data, err := snapshot.Encode(m.Parts())
+	path := filepath.Join(b.TempDir(), "model.snap")
+	info, err := snapshot.WriteFile(path, m.Parts())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(info.Bytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := snapshot.Encode(m.Parts()); err != nil {
+		if _, err := snapshot.WriteFile(path, m.Parts()); err != nil {
 			b.Fatal(err)
 		}
 	}

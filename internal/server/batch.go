@@ -255,7 +255,7 @@ func (s *Server) handleLinkBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	out := sv.model.LinkStream(ctx, docs, s.batchWorkers)
+	out := sv.model.LinkStream(ctx, docs, 0) // 0: GOMAXPROCS workers
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)

@@ -275,13 +275,6 @@ func TestLinkBatchMethodNotAllowed(t *testing.T) {
 	}
 }
 
-func TestBatchWorkersValidation(t *testing.T) {
-	m, cfg, _ := testModel(t)
-	if _, err := New(m, cfg, Options{BatchWorkers: -1}); err == nil {
-		t.Error("negative BatchWorkers accepted")
-	}
-}
-
 // FuzzNDJSONLine holds parseBatchLine to its contract: any input
 // yields a usable request or an error, never a panic, and a nil error
 // implies a non-empty mention.

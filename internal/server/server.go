@@ -80,9 +80,8 @@ type Server struct {
 	// Rebuild inputs Reload needs to derive a fresh generation from a
 	// new model: the ingestion config and the Options that shaped the
 	// original bundle.
-	ingestCfg    corpus.IngestConfig
-	minPosterior float64
-	precompute   bool
+	ingestCfg  corpus.IngestConfig
+	precompute bool
 	// snapshotPath, when set, is the artifact POST /v1/admin/reload
 	// (and SIGHUP in the CLI) reloads from.
 	snapshotPath string
@@ -92,18 +91,12 @@ type Server struct {
 	snap *snapshotMetrics
 	// delta holds the shine_hin_delta_* instruments; always non-nil.
 	delta *deltaMetrics
-	// maxUpdateBytes bounds a whole /v1/admin/update body (per line it
-	// is still maxLineBytes).
-	maxUpdateBytes int64
 	// maxBodyBytes bounds request bodies; documents are pages, not
 	// uploads.
 	maxBodyBytes int64
 	// maxLineBytes bounds one NDJSON line on /v1/link/batch — the
 	// batch body as a whole is unbounded by design.
 	maxLineBytes int64
-	// batchWorkers is the LinkStream fan-out width for /v1/link/batch
-	// (0 = GOMAXPROCS).
-	batchWorkers int
 	// nilPrior, when positive, makes /v1/link NIL-aware.
 	nilPrior float64
 	// logger, when set, records one line per request.
@@ -139,15 +132,9 @@ type Options struct {
 	// oversized later line becomes a per-line error record in the
 	// output stream.
 	MaxLineBytes int64
-	// BatchWorkers is the worker-pool width /v1/link/batch pipelines
-	// documents through (0 = GOMAXPROCS). Batch memory is
-	// O(BatchWorkers), never O(documents).
-	BatchWorkers int
 	// NILPrior, when positive, enables NIL detection on /v1/link with
 	// this prior.
 	NILPrior float64
-	// MinPosterior filters /v1/annotate results.
-	MinPosterior float64
 	// Logger, when set, logs one line per request (method, path,
 	// status, duration).
 	Logger *log.Logger
@@ -198,10 +185,6 @@ type Options struct {
 	// loaded from, when it came from one; logged at startup and
 	// exposed in the /v1/healthz payload.
 	SnapshotInfo *snapshot.Info
-	// MaxUpdateBytes bounds a whole POST /v1/admin/update body
-	// (default 64 MiB). Individual NDJSON lines are still bounded by
-	// MaxLineBytes.
-	MaxUpdateBytes int64
 }
 
 // buildServing derives one serving generation from a model: the
@@ -218,7 +201,7 @@ func (s *Server) buildServing(m *shine.Model, snapInfo *snapshot.Info) (*serving
 	if err != nil {
 		return nil, err
 	}
-	ann, err := annotate.New(m, s.ingestCfg, annotate.Options{MinPosterior: s.minPosterior})
+	ann, err := annotate.New(m, s.ingestCfg, annotate.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -256,12 +239,6 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 	if opts.MaxLineBytes <= 0 {
 		opts.MaxLineBytes = 256 << 10
 	}
-	if opts.MaxUpdateBytes <= 0 {
-		opts.MaxUpdateBytes = 64 << 20
-	}
-	if opts.BatchWorkers < 0 {
-		return nil, fmt.Errorf("server: negative batch workers %d", opts.BatchWorkers)
-	}
 	// The explicit NaN test matters: NaN < 0 and NaN >= 1 are both
 	// false, so a NaN prior would pass the range check, count as "NIL
 	// mode on" and poison every posterior downstream.
@@ -281,13 +258,10 @@ func New(m *shine.Model, ingestCfg corpus.IngestConfig, opts Options) (*Server, 
 	s := &Server{
 		mux:            http.NewServeMux(),
 		ingestCfg:      ingestCfg,
-		minPosterior:   opts.MinPosterior,
 		precompute:     opts.Precompute,
 		snapshotPath:   opts.SnapshotPath,
 		maxBodyBytes:   opts.MaxBodyBytes,
 		maxLineBytes:   opts.MaxLineBytes,
-		maxUpdateBytes: opts.MaxUpdateBytes,
-		batchWorkers:   opts.BatchWorkers,
 		nilPrior:       opts.NILPrior,
 		logger:         opts.Logger,
 		metrics:        reg,

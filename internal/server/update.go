@@ -10,6 +10,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -93,7 +94,7 @@ func parseDelta(g *hin.Graph, r io.Reader, maxLine int64) (*hin.Delta, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: reading body: %w", lineNo, err)
 		}
-		if len(line) == 0 || len(trimSpace(line)) == 0 {
+		if len(bytes.Trim(line, " \t\r")) == 0 {
 			continue
 		}
 		if err := stageOp(g, d, line); err != nil {
@@ -103,21 +104,9 @@ func parseDelta(g *hin.Graph, r io.Reader, maxLine int64) (*hin.Delta, error) {
 	return d, nil
 }
 
-// trimSpace is bytes.TrimSpace without the import weight; NDJSON
-// lines only ever carry ASCII whitespace.
-func trimSpace(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\r') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t' || b[len(b)-1] == '\r') {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
 // stageOp parses and stages one delta line.
 func stageOp(g *hin.Graph, d *hin.Delta, line []byte) error {
-	dec := json.NewDecoder(newByteReader(line))
+	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	var op updateOp
 	if err := dec.Decode(&op); err != nil {
@@ -172,21 +161,6 @@ func resolveRef(schema *hin.Schema, d *hin.Delta, ref *updateRef) (hin.ObjectID,
 	return id, nil
 }
 
-// newByteReader avoids bytes.NewReader's interface allocation churn in
-// the line loop — a plain io.Reader over one slice.
-func newByteReader(b []byte) io.Reader { return &byteReader{b: b} }
-
-type byteReader struct{ b []byte }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
-}
-
 // updateResponse is the body of a successful POST /v1/admin/update.
 type updateResponse struct {
 	Status string            `json:"status"`
@@ -210,7 +184,7 @@ func (s *Server) Update(r io.Reader) (shine.UpdateStats, error) {
 	sv := s.serving.Load()
 	delta, err := parseDelta(sv.model.Graph(), r, s.maxLineBytes)
 	if err != nil {
-		return zero, fmt.Errorf("%w: %v", errBadDelta, err)
+		return zero, fmt.Errorf("%w: %w", errBadDelta, err)
 	}
 	if delta.Empty() {
 		return zero, fmt.Errorf("%w: batch stages no operations", errBadDelta)
@@ -241,11 +215,15 @@ func (s *Server) Update(r io.Reader) (shine.UpdateStats, error) {
 }
 
 // errBadDelta marks an update rejected at parse time; handleUpdate
-// maps it to 400.
+// maps it to 400, or to 413 when the body outgrew maxUpdateBytes.
 var errBadDelta = errors.New("server: invalid delta batch")
 
+// maxUpdateBytes bounds a whole POST /v1/admin/update body; each
+// NDJSON line is still bounded by Options.MaxLineBytes.
+const maxUpdateBytes = 64 << 20
+
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	stats, err := s.Update(http.MaxBytesReader(w, r.Body, s.maxUpdateBytes))
+	stats, err := s.Update(http.MaxBytesReader(w, r.Body, maxUpdateBytes))
 	if err != nil {
 		var maxErr *http.MaxBytesError
 		switch {

@@ -3,8 +3,10 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -111,6 +113,45 @@ func TestUpdateRejectsBadBatches(t *testing.T) {
 	}
 	if got := s.delta.merges.Value(); got != 0 {
 		t.Errorf("merge counter = %v after rejected batches, want 0", got)
+	}
+}
+
+// blankLines is an update body of n bytes of blank NDJSON lines, each
+// 1 KiB (well under the line bound), generated as it is read.
+type blankLines struct{ off, n int64 }
+
+func (r *blankLines) Read(p []byte) (int, error) {
+	if r.off == r.n {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), r.n-r.off)]
+	for i := range p {
+		p[i] = ' '
+		if (r.off+int64(i))%1024 == 1023 {
+			p[i] = '\n'
+		}
+	}
+	r.off += int64(len(p))
+	return len(p), nil
+}
+
+// TestUpdateBodyBound: an update body one byte over maxUpdateBytes is
+// answered 413 with the bound in the message, and nothing swaps. The
+// body is generated as the server reads it, so the test holds no
+// 64 MiB buffer.
+func TestUpdateBodyBound(t *testing.T) {
+	s, _ := testServer(t, Options{})
+	before := s.serving.Load()
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/admin/update", &blankLines{n: maxUpdateBytes + 1}))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %s", w.Code, w.Body.String())
+	}
+	if want := fmt.Sprintf("update body exceeds %d bytes", maxUpdateBytes); !strings.Contains(w.Body.String(), want) {
+		t.Errorf("413 body %q does not name the bound (%q)", w.Body.String(), want)
+	}
+	if s.serving.Load() != before {
+		t.Error("an oversized batch swapped the serving generation")
 	}
 }
 

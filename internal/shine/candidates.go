@@ -41,15 +41,7 @@ func (m *Model) CandidateSource() CandidateSource { return m.cands }
 // primarily a testing seam for running the serving path against the
 // brute-force namematch oracle. It must not race with concurrent Link
 // calls.
-func (m *Model) SetCandidateSource(s CandidateSource) {
-	m.cands = s
-	m.trie, _ = s.(*surftrie.Trie)
-}
-
-// Trie returns the model's surface-form trie, or nil when a custom
-// candidate source was installed. The snapshot encoder persists it so
-// restored models skip the rebuild.
-func (m *Model) Trie() *surftrie.Trie { return m.trie }
+func (m *Model) SetCandidateSource(s CandidateSource) { m.cands = s }
 
 // LooseCandidates returns the first-initial candidate set for a
 // mention. The slice is freshly allocated and owned by the caller.

@@ -60,7 +60,7 @@ func TestSetCandidateSourceOracle(t *testing.T) {
 	m := newModel(t, f, nil)
 	trieCands := m.lookupCandidates("Wei Wang")
 	trieLoose := m.LooseCandidates("W. Wang")
-	if m.Trie() == nil {
+	if _, ok := m.CandidateSource().(*surftrie.Trie); !ok {
 		t.Fatal("freshly built model has no trie")
 	}
 
@@ -69,8 +69,8 @@ func TestSetCandidateSourceOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetCandidateSource(idx)
-	if m.Trie() != nil {
-		t.Error("Trie() non-nil after installing a custom source")
+	if _, ok := m.CandidateSource().(*surftrie.Trie); ok {
+		t.Error("the model still serves its trie after installing a custom source")
 	}
 	if got := m.lookupCandidates("Wei Wang"); !slices.Equal(got, trieCands) {
 		t.Errorf("oracle source diverges on exact lookup: %v vs %v", got, trieCands)

@@ -65,12 +65,9 @@ type Model struct {
 	prSeconds        float64
 	prIterations     int
 	prWarmIterations int
-	// cands generates candidate entities; by default the surface-form
-	// trie in trie, but replaceable via SetCandidateSource. trie keeps
-	// the concrete pointer for snapshotting and is nil when a custom
-	// source is installed.
+	// cands generates candidate entities; by default a
+	// *surftrie.Trie, but replaceable via SetCandidateSource.
 	cands   CandidateSource
-	trie    *surftrie.Trie
 	walker  *metapath.Walker
 	generic *corpus.GenericModel
 	// metrics, when non-nil, instruments link and EM hot paths; see
@@ -130,7 +127,6 @@ func New(g *hin.Graph, entityType hin.TypeID, paths []metapath.Path, docs *corpu
 		prSeconds:    prSeconds,
 		prIterations: prIters,
 		cands:        trie,
-		trie:         trie,
 		walker:       metapath.NewWalker(g, cfg.WalkCacheSize),
 		generic:      gen,
 	}

@@ -14,11 +14,11 @@ import (
 )
 
 // Parts is the flat decomposition of a trained Model: everything a
-// binary snapshot persists so that FromParts can reassemble a serving
+// binary snapshot persists, so that FromParts can reassemble a serving
 // model without re-running PageRank, re-estimating the generic object
-// model, re-walking meta-paths, or re-freezing the surface-form trie.
-// The walker cache is deliberately absent — a cheap rebuild from the
-// graph.
+// model or re-walking meta-paths, plus the surface-form trie, which
+// snapshots rebuild from the graph instead of persisting. The walker
+// cache is deliberately absent — a cheap rebuild from the graph.
 type Parts struct {
 	Graph      *hin.Graph
 	EntityType hin.TypeID
@@ -51,10 +51,9 @@ type Parts struct {
 	// Mixtures is the frozen per-candidate mixture index, sorted by
 	// ascending entity ID. May be empty: the index refills lazily.
 	Mixtures []MixtureEntry
-	// Trie is the frozen surface-form candidate index. May be nil —
-	// from a model with a custom candidate source, or a snapshot
-	// written before the trie section existed — in which case
-	// FromParts rebuilds it from the graph.
+	// Trie is the frozen surface-form candidate index, built from
+	// Graph by surftrie.Build. May be nil (a model with a custom
+	// candidate source), in which case FromParts builds it.
 	Trie *surftrie.Trie
 }
 
@@ -70,6 +69,7 @@ type MixtureEntry struct {
 // are mutually consistent even if Learn runs concurrently.
 func (m *Model) Parts() Parts {
 	w, ver := m.snapshotWeightsVer()
+	trie, _ := m.cands.(*surftrie.Trie)
 	ents := m.graph.ObjectsOfType(m.entityType)
 	pop := make([]float64, len(ents))
 	for i, e := range ents {
@@ -87,17 +87,17 @@ func (m *Model) Parts() Parts {
 		Centrality:   m.cfg.CentralityName(),
 		Generic:      m.generic.Vector(),
 		Mixtures:     m.mixtures.snapshotEntries(ver),
-		Trie:         m.trie,
+		Trie:         trie,
 	}
 }
 
 // FromParts reassembles a serving model from its flat decomposition.
 // Unlike New, nothing expensive runs: popularity, the generic model
 // and any frozen mixtures are adopted after validation, and only the
-// O(entities) name index and the empty walker cache are rebuilt. The
-// weight vector is installed verbatim — not renormalised — so a
-// restored model's Link output is bit-identical to the model that was
-// decomposed.
+// O(entities) name index (unless p.Trie carries it) and the empty
+// walker cache are built. The weight vector is installed verbatim —
+// not renormalised — so a restored model's Link output is
+// bit-identical to the model that was decomposed.
 func FromParts(p Parts) (*Model, error) {
 	if p.Graph == nil {
 		return nil, errors.New("shine: FromParts: nil graph")
@@ -190,7 +190,6 @@ func FromParts(p Parts) (*Model, error) {
 		prSeconds:    p.PRSeconds,
 		prIterations: p.PRIterations,
 		cands:        trie,
-		trie:         trie,
 		walker:       metapath.NewWalker(p.Graph, cfg.WalkCacheSize),
 		generic:      gen,
 	}

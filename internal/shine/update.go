@@ -120,7 +120,6 @@ func (m *Model) WithDelta(d *hin.Delta) (*Model, UpdateStats, error) {
 		cfg:        m.cfg,
 		generic:    m.generic,
 		cands:      m.cands,
-		trie:       m.trie,
 		// The fuzzy fallback is a serving setting; the new
 		// generation keeps it.
 		fuzzyDistance: m.fuzzyDistance,
@@ -181,7 +180,7 @@ func (m *Model) WithDelta(d *hin.Delta) (*Model, UpdateStats, error) {
 	// Surface-form index: object IDs and names are stable across a
 	// merge, so the trie is only stale if the delta added entity-type
 	// objects. (A custom candidate source is carried over as-is.)
-	if m.trie != nil {
+	if _, ok := m.cands.(*surftrie.Trie); ok {
 		oldN := g2.NumObjects() - ms.NewObjects
 		for v := oldN; v < g2.NumObjects(); v++ {
 			if g2.TypeOf(hin.ObjectID(v)) == m.entityType {
@@ -189,7 +188,6 @@ func (m *Model) WithDelta(d *hin.Delta) (*Model, UpdateStats, error) {
 				if err != nil {
 					return nil, stats, fmt.Errorf("shine: reindexing entity names: %w", err)
 				}
-				nm.trie = trie
 				nm.cands = trie
 				stats.TrieRebuilt = true
 				break

@@ -28,9 +28,11 @@
 // Compatibility: version bumps on any layout change. A reader
 // encountering a newer version fails with a "built by a newer shine"
 // error; older versions that can still be decoded are listed
-// explicitly. Version 2 is current (it added the surface-form trie
-// section); version 1 artifacts are still read, with the trie rebuilt
-// from the graph instead of loaded warm.
+// explicitly. Version 3 is current: sections 1–8. Version 2 appended
+// section 9, a copy of the surface-form trie; its CRC is checked with
+// the others and its payload skipped, because the reader builds the
+// trie from the objects section. Version 1 has version 3's layout, so
+// reading it costs nothing.
 package snapshot
 
 import (
@@ -44,7 +46,7 @@ const (
 	// Magic identifies a SHINE snapshot artifact.
 	Magic = "SHINESNP"
 	// FormatVersion is the current wire format version.
-	FormatVersion = 2
+	FormatVersion = 3
 	// minFormatVersion is the oldest version this build still reads.
 	minFormatVersion = 1
 
@@ -66,7 +68,7 @@ const (
 	secWeights    = 6 // learned meta-path weight vector
 	secGeneric    = 7 // generic object model Pg as a frozen sparse pair
 	secMixtures   = 8 // frozen per-candidate mixture index
-	secTrie       = 9 // frozen surface-form candidate trie (format v2+)
+	secTrie       = 9 // format v2 only: a copy of the surface-form trie, skipped
 )
 
 var sectionNames = map[uint32]string{
@@ -105,9 +107,6 @@ type Info struct {
 	Paths          int    `json:"paths"`
 	MixtureEntries int    `json:"mixtureEntries"`
 	GenericSupport int    `json:"genericSupport"`
-	// TrieNodes is the node count of the surface-form candidate trie;
-	// 0 for version-1 artifacts, which carry no trie section.
-	TrieNodes int `json:"trieNodes"`
 	// Centrality is the backend that produced the artifact's
 	// popularity section ("pagerank" for artifacts written before the
 	// field existed). Loading enforces it against the serving config,
@@ -116,8 +115,8 @@ type Info struct {
 }
 
 func (i Info) String() string {
-	return fmt.Sprintf("snapshot v%d checksum=%s bytes=%d entityType=%s objects=%d links=%d entities=%d paths=%d mixtures=%d genericSupport=%d trieNodes=%d centrality=%s",
-		i.FormatVersion, i.Checksum, i.Bytes, i.EntityType, i.Objects, i.Links, i.Entities, i.Paths, i.MixtureEntries, i.GenericSupport, i.TrieNodes, i.Centrality)
+	return fmt.Sprintf("snapshot v%d checksum=%s bytes=%d entityType=%s objects=%d links=%d entities=%d paths=%d mixtures=%d genericSupport=%d centrality=%s",
+		i.FormatVersion, i.Checksum, i.Bytes, i.EntityType, i.Objects, i.Links, i.Entities, i.Paths, i.MixtureEntries, i.GenericSupport, i.Centrality)
 }
 
 // metaSection is the JSON payload of section 1: everything small and

@@ -25,6 +25,9 @@ func FuzzReadBytes(f *testing.F) {
 	versionBump := append([]byte(nil), valid...)
 	versionBump[8] = 0xFF
 	f.Add(versionBump)
+	// One artifact per older version the reader accepts.
+	f.Add(asVersion(valid, 1))
+	f.Add(asV2(valid, []byte("trie")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := snapshot.ReadBytes(data)

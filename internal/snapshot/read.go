@@ -15,8 +15,8 @@ import (
 
 // Snapshot is a decoded artifact: the validated model decomposition
 // plus its identity. Decoding already ran every structural check
-// (CRCs, bounds, CSR invariants), so Model() is a cheap final
-// assembly — a name-index build and a weight install, no walks, no
+// (CRCs, bounds, CSR invariants) and built the surface-form trie, so
+// Model() is a cheap final assembly — a weight install, no walks, no
 // PageRank.
 type Snapshot struct {
 	parts shine.Parts
@@ -50,7 +50,8 @@ func ReadFile(path string) (*Snapshot, error) {
 // decoded, and the reassembled graph and model pass the same
 // invariant sweeps a from-scratch build would — corrupt, truncated or
 // reordered input returns an error, never a panic or an outsized
-// allocation.
+// allocation. The surface-form trie is built from the decoded graph,
+// as shine.New builds it; no version stores one the reader uses.
 func ReadBytes(data []byte) (*Snapshot, error) {
 	if len(data) < headerLen+4 {
 		return nil, fmt.Errorf("snapshot: %d bytes is shorter than any artifact", len(data))
@@ -114,8 +115,8 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: %d trailing bytes after last section", uint64(len(data))-expect)
 	}
 	want := []uint32{secMeta, secConfig, secObjects, secCSR, secPopularity, secWeights, secGeneric, secMixtures}
-	if version >= 2 {
-		want = append(want, secTrie)
+	if version == 2 {
+		want = append(want, secTrie) // CRC-checked above, never decoded
 	}
 	if count != len(want) {
 		return nil, fmt.Errorf("snapshot: %d sections, format v%d has %d", count, version, len(want))
@@ -239,6 +240,19 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 
+	// The trie is built here, before popularity and the mixtures are
+	// decoded, because the order sets the load's memory peak: Build's
+	// ~2.7 MB of allocations, mostly short-lived, are garbage before
+	// the mixture index, the bulk of the artifact, is decoded. Built
+	// after the mixtures instead, they landed on top of the load peak,
+	// and bench/run.sh's link rss_mb rose from 70.4 to 72.1 MB (medians
+	// of 3 pairs of 15 s runs, each pair higher; default `shine gen`
+	// network, 2 vCPUs).
+	trie, err := surftrie.Build(g, entityType)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: indexing entity names: %w", err)
+	}
+
 	// Section 5: popularity.
 	c = &cursor{b: payload(secPopularity), sec: "popularity"}
 	popN, err := c.u32()
@@ -331,68 +345,6 @@ func ReadBytes(data []byte) (*Snapshot, error) {
 			return nil, fmt.Errorf("snapshot: mixture for entity %d: %w", ents[i], err)
 		}
 		mixtures[i] = shine.MixtureEntry{Entity: ents[i], Mixture: d}
-	}
-
-	// Section 9 (format v2+): the frozen surface-form trie. Version-1
-	// artifacts carry none; FromParts rebuilds it from the graph.
-	var trie *surftrie.Trie
-	if version >= 2 {
-		c = &cursor{b: payload(secTrie), sec: "trie"}
-		keys, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		nodesU, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		nodes := int(nodesU)
-		labelLen, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		labels, err := c.bytes(int(labelLen))
-		if err != nil {
-			return nil, err
-		}
-		labelLo, err := words[uint32](c, nodes+1)
-		if err != nil {
-			return nil, err
-		}
-		childLo, err := words[uint32](c, nodes+1)
-		if err != nil {
-			return nil, err
-		}
-		entryLo, err := words[uint32](c, nodes+1)
-		if err != nil {
-			return nil, err
-		}
-		refsN, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		refs, err := words[uint32](c, int(refsN))
-		if err != nil {
-			return nil, err
-		}
-		entsN, err := c.u32()
-		if err != nil {
-			return nil, err
-		}
-		trieEnts, err := words[int32](c, int(entsN))
-		if err != nil {
-			return nil, err
-		}
-		if err := c.done(); err != nil {
-			return nil, err
-		}
-		trie, err = surftrie.FromRaw(surftrie.Raw{
-			Labels: labels, LabelLo: labelLo, ChildLo: childLo,
-			EntryLo: entryLo, Refs: refs, Entities: trieEnts, Keys: keys,
-		}, g, entityType)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: section trie: %w", err)
-		}
 	}
 
 	parts := shine.Parts{

@@ -83,11 +83,23 @@ func newFixture(t testing.TB) *fixture {
 	return &fixture{graph: g, docs: docs, model: m}
 }
 
+// encodeFixture returns the bytes of the fixture model's artifact.
 func encodeFixture(t testing.TB, f *fixture) []byte {
 	t.Helper()
-	data, err := snapshot.Encode(f.model.Parts())
+	return writeArtifact(t, f.model.Parts())
+}
+
+// writeArtifact writes p with WriteFile into a temporary directory and
+// reads the artifact's bytes back.
+func writeArtifact(t testing.TB, p shine.Parts) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.snap")
+	if _, err := snapshot.WriteFile(path, p); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatal(err)
 	}
 	return data
 }
@@ -144,15 +156,15 @@ func TestEncodeDeterministic(t *testing.T) {
 	f := newFixture(t)
 	a, b := encodeFixture(t, f), encodeFixture(t, f)
 	if !bytes.Equal(a, b) {
-		t.Error("two encodes of the same model differ — artifacts must be deterministic")
+		t.Error("two writes of the same model differ — artifacts must be deterministic")
 	}
 }
 
 // TestBuildDeterministic: independent builds of one input — New,
-// Learn, PrecomputeMixtures, Encode — at 1, 4 and 8 workers write
+// Learn, PrecomputeMixtures, WriteFile — at 1, 4 and 8 workers write
 // byte-identical artifacts, so the worker count is invisible in every
 // section: weights, popularity, the generic model and the mixtures.
-// TestEncodeDeterministic encodes one model twice, so it cannot see
+// TestEncodeDeterministic writes one model twice, so it cannot see
 // state that differs between builds, such as a wall time. The synth
 // case is the 150-author dataset of the shine package's
 // TestLearnDeterministicAcrossWorkers, large enough that the blocked
@@ -196,11 +208,7 @@ func TestBuildDeterministic(t *testing.T) {
 				if err := m.PrecomputeMixtures(); err != nil {
 					t.Fatalf("PrecomputeMixtures: %v", err)
 				}
-				data, err := snapshot.Encode(m.Parts())
-				if err != nil {
-					t.Fatalf("Encode: %v", err)
-				}
-				return data
+				return writeArtifact(t, m.Parts())
 			}
 			serial := build(1)
 			for _, workers := range []int{4, 8} {

@@ -10,45 +10,21 @@ import (
 	"shine/internal/hin"
 	"shine/internal/shine"
 	"shine/internal/sparse"
-	"shine/internal/surftrie"
 )
 
-// Encode serialises a model decomposition into the artifact byte
+// encode serialises a model decomposition into the artifact byte
 // layout. The output is deterministic for a given Parts value — no
 // timestamps, wall times or host-dependent fields — so two builds of
 // the same input yield byte-identical artifacts with the same
-// checksum.
-func Encode(p shine.Parts) ([]byte, error) {
-	p, err := normalizeParts(p)
-	if err != nil {
-		return nil, err
-	}
-	return encodeParts(p)
-}
-
-// normalizeParts fills the derivable pieces Encode needs that a
-// hand-assembled Parts may omit: a nil Trie is built from the graph
-// (deterministically, so the artifact bytes stay reproducible), and an
-// empty Centrality is resolved from the config so every artifact this
-// build writes records its popularity backend.
-func normalizeParts(p shine.Parts) (shine.Parts, error) {
-	if p.Trie == nil {
-		if p.Graph == nil {
-			return p, fmt.Errorf("snapshot: encoding: nil graph")
-		}
-		t, err := surftrie.Build(p.Graph, p.EntityType)
-		if err != nil {
-			return p, fmt.Errorf("snapshot: building surface trie: %w", err)
-		}
-		p.Trie = t
+// checksum. An empty Centrality is resolved from the config, so every
+// artifact this build writes records its popularity backend.
+func encode(p shine.Parts) ([]byte, error) {
+	if p.Graph == nil {
+		return nil, fmt.Errorf("snapshot: encoding: nil graph")
 	}
 	if p.Centrality == "" {
 		p.Centrality = p.Config.CentralityName()
 	}
-	return p, nil
-}
-
-func encodeParts(p shine.Parts) ([]byte, error) {
 	type section struct {
 		id      uint32
 		payload []byte
@@ -170,23 +146,6 @@ func encodeParts(p shine.Parts) ([]byte, error) {
 	}
 	add(secMixtures, mix)
 
-	// Section 9: frozen surface-form trie — flat arrays verbatim, so
-	// the restored index is structurally identical to the built one.
-	raw := p.Trie.Raw()
-	trieNodes := len(raw.LabelLo) - 1
-	tr := appendU32(nil, raw.Keys)
-	tr = appendU32(tr, uint32(trieNodes))
-	tr = appendU32(tr, uint32(len(raw.Labels)))
-	tr = append(tr, raw.Labels...)
-	tr = appendU32s(tr, raw.LabelLo)
-	tr = appendU32s(tr, raw.ChildLo)
-	tr = appendU32s(tr, raw.EntryLo)
-	tr = appendU32(tr, uint32(len(raw.Refs)))
-	tr = appendU32s(tr, raw.Refs)
-	tr = appendU32(tr, uint32(len(raw.Entities)))
-	tr = appendI32s(tr, raw.Entities)
-	add(secTrie, tr)
-
 	// Assemble: header, table, table CRC, payloads.
 	artifactLen := headerLen + tableEntry*len(secs) + 4
 	offset := uint64(artifactLen)
@@ -236,11 +195,7 @@ func objectIDsAsInt32(ids []hin.ObjectID) []int32 {
 // what makes `POST /v1/admin/reload` safe to point at a path a build
 // pipeline is also writing.
 func WriteFile(path string, p shine.Parts) (Info, error) {
-	p, err := normalizeParts(p)
-	if err != nil {
-		return Info{}, err
-	}
-	data, err := encodeParts(p)
+	data, err := encode(p)
 	if err != nil {
 		return Info{}, err
 	}
@@ -276,10 +231,6 @@ func infoFor(data []byte, p shine.Parts) Info {
 	for rel := 0; rel < len(gp.Adjs); rel += 2 {
 		links += len(gp.Adjs[rel])
 	}
-	trieNodes := 0
-	if p.Trie != nil {
-		trieNodes = p.Trie.Stats().Nodes
-	}
 	// Old artifacts carry no backend name; "pagerank" was the only
 	// backend when they were written.
 	centrality := p.Centrality
@@ -291,7 +242,6 @@ func infoFor(data []byte, p shine.Parts) Info {
 		Checksum:       fmt.Sprintf("%08x", crc32.ChecksumIEEE(data)),
 		Bytes:          int64(len(data)),
 		Sections:       int(le.Uint32(data[12:])),
-		TrieNodes:      trieNodes,
 		EntityType:     p.Graph.Schema().Type(p.EntityType).Name,
 		Objects:        p.Graph.NumObjects(),
 		Links:          links,

@@ -20,10 +20,9 @@
 // folded alias key ("garcía-lópez" → "garcialopez"), so folded and
 // noisy mentions still reach them through the fuzzy walk.
 //
-// The frozen representation is five flat arrays (see Raw), which is
-// what the binary snapshot subsystem persists: a restored trie is
-// structurally identical to the one that was written and returns
-// bit-identical candidate lists.
+// The frozen representation is five flat arrays (see Trie). Build is
+// deterministic, so snapshot loading rebuilds the trie from the
+// graph's names instead of persisting it.
 package surftrie
 
 import (

@@ -25,8 +25,8 @@ type entry struct {
 // with a low alias bit: alias terminals come from folded keys and
 // participate only in fuzzy retrieval.
 //
-// A Trie is immutable after Build/FromRaw and safe for concurrent
-// lookups.
+// Build is the only way to make a Trie. A Trie is immutable after
+// Build and safe for concurrent lookups.
 type Trie struct {
 	labels  []byte
 	labelLo []uint32
@@ -34,24 +34,6 @@ type Trie struct {
 	entryLo []uint32
 	refs    []uint32
 	entries []entry
-	keys    int
-}
-
-// Stats summarises the index shape for logs and artifact inspection.
-type Stats struct {
-	// Keys is the number of distinct stored keys (canonical + alias).
-	Keys int
-	// Nodes is the number of trie nodes after path compression.
-	Nodes int
-	// Entries is the number of indexed entities.
-	Entries int
-	// LabelBytes is the total size of the compressed edge labels.
-	LabelBytes int
-}
-
-// Stats returns the index shape.
-func (t *Trie) Stats() Stats {
-	return Stats{Keys: t.keys, Nodes: len(t.labelLo) - 1, Entries: len(t.entries), LabelBytes: len(t.labels)}
 }
 
 // ---------------------------------------------------------------- build
@@ -79,7 +61,6 @@ func Build(g *hin.Graph, entityType hin.TypeID) (*Trie, error) {
 	}
 	root := &bnode{}
 	var entries []entry
-	keys := 0
 	insert := func(key string, ref uint32, alias bool) {
 		n := root
 		for i := 0; i < len(key); i++ {
@@ -93,9 +74,6 @@ func Build(g *hin.Graph, entityType hin.TypeID) (*Trie, error) {
 				n.next[c] = child
 			}
 			n = child
-		}
-		if !n.terminal() {
-			keys++
 		}
 		if alias {
 			n.alias = append(n.alias, ref)
@@ -119,20 +97,19 @@ func Build(g *hin.Graph, entityType hin.TypeID) (*Trie, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("surftrie: no parseable names among %d objects of type %d", len(ents), entityType)
 	}
-	return freeze(root, entries, keys), nil
+	return freeze(root, entries), nil
 }
 
 // freeze path-compresses the byte trie and lays it out breadth-first,
 // so each node's children occupy a contiguous id range and the whole
 // structure becomes five flat arrays.
-func freeze(root *bnode, entries []entry, keys int) *Trie {
+func freeze(root *bnode, entries []entry) *Trie {
 	type qitem struct {
 		n     *bnode
 		label []byte
 	}
 	t := &Trie{
 		entries: entries,
-		keys:    keys,
 		labelLo: []uint32{0},
 		entryLo: []uint32{0},
 	}
@@ -337,8 +314,8 @@ func sortDedup(ids []hin.ObjectID) []hin.ObjectID {
 }
 
 // CheckGraph verifies the index is consistent with a graph: every
-// indexed entity must exist and carry entityType. Snapshot
-// restoration calls this before adopting a decoded trie.
+// indexed entity must exist and carry entityType. shine.FromParts
+// calls this before adopting a trie it is handed.
 func (t *Trie) CheckGraph(g *hin.Graph, entityType hin.TypeID) error {
 	for i := range t.entries {
 		e := t.entries[i].entity

@@ -36,26 +36,6 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	d, g := buildAuthorGraph(t, "Wei Wang 0001", "Wei Wang 0002", "José García")
-	trie, err := surftrie.Build(g, d.Author)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := trie.Stats()
-	// Two Wei Wangs share one key; José García adds a canonical key and
-	// a folded alias.
-	if st.Keys != 3 {
-		t.Errorf("Keys = %d, want 3", st.Keys)
-	}
-	if st.Entries != 3 {
-		t.Errorf("Entries = %d, want 3", st.Entries)
-	}
-	if st.Nodes < 2 || st.LabelBytes == 0 {
-		t.Errorf("implausible stats: %+v", st)
-	}
-}
-
 func TestCandidatesBasic(t *testing.T) {
 	d, g := buildAuthorGraph(t,
 		"Wei Wang 0001", "Wei Wang 0002", "Wei Wang 0003",
