@@ -1227,24 +1227,19 @@ func benchDelta(b *testing.B, g *hin.Graph, s *hin.DBLPSchema) *hin.Delta {
 
 // BenchmarkDeltaMerge measures splicing a ~1% staged delta into the
 // CSR against rebuilding the merged graph from scratch — the
-// bit-identical pair (TestMergeMatchesBuild pins byte equality), so
-// the ratio is pure construction cost.
+// bit-identical pair (TestMergeDeltasBitIdenticalProperty pins byte
+// equality), so the ratio is pure construction cost.
 func BenchmarkDeltaMerge(b *testing.B) {
 	e := benchEnv(b)
 	g := e.DS.Data.Graph
 	d := benchDelta(b, e.DS.Data.Graph, e.DS.Data.Schema)
-	merged, stats, err := d.Merge()
-	if err != nil {
-		b.Fatal(err)
-	}
+	merged, stats := d.Merge()
 	b.Run("splice", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ReportMetric(float64(stats.NewEdges), "delta-edges")
 		b.ReportMetric(100*float64(stats.NewEdges)/float64(g.NumLinks()), "delta-pct")
 		for i := 0; i < b.N; i++ {
-			if _, _, err := d.Merge(); err != nil {
-				b.Fatal(err)
-			}
+			d.Merge()
 		}
 	})
 	// The comparator times Builder.Build alone (as BenchmarkGraphBuild
@@ -1261,59 +1256,70 @@ func BenchmarkDeltaMerge(b *testing.B) {
 	})
 }
 
-// BenchmarkPageRankWarmStart measures refreshing popularity after a
-// ~1% delta by warm-starting from the previous revision's scores
-// (Gauss–Southwell push + certifying sweeps) against a cold power
-// iteration on the merged graph. Both converge to the same 1e-10
-// tolerance; agreement to 1e-9 L∞ is asserted before timing.
+// BenchmarkPageRankWarmStart measures the popularity refresh after a
+// graph delta: Compute warm-started from the previous revision's
+// scores (Options.Warm) against a cold Compute on the merged graph, on
+// two delta shapes — benchDelta's ~1% object-adding workshop, and 20
+// new write links between existing objects. Both sides converge to the
+// same 1e-10 tolerance; agreement to 1e-9 L∞ is asserted before
+// timing.
 func BenchmarkPageRankWarmStart(b *testing.B) {
 	e := benchEnv(b)
 	g := e.DS.Data.Graph
-	d := benchDelta(b, e.DS.Data.Graph, e.DS.Data.Schema)
-	merged, _, err := d.Merge()
+	s := e.DS.Data.Schema
+	opts := pagerank.DefaultOptions()
+	prev, err := pagerank.Compute(g, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	prev, err := pagerank.Compute(g, pagerank.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
+	objects, _ := benchDelta(b, g, s).Merge()
+	authors, papers := g.ObjectsOfType(s.Author), g.ObjectsOfType(s.Paper)
+	ed := g.Append()
+	for i := 0; i < 20; i++ {
+		ed.MustPatch(s.Write, authors[(7*i)%len(authors)], papers[(13*i+5)%len(papers)])
 	}
-	warm, err := pagerank.Refine(merged, pagerank.DefaultOptions(), prev.Scores)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cold, err := pagerank.Compute(merged, pagerank.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for v := range cold.Scores {
-		if diff := warm.Scores[v] - cold.Scores[v]; diff > 1e-9 || diff < -1e-9 {
-			b.Fatalf("warm and cold scores disagree at %d: %g vs %g", v, warm.Scores[v], cold.Scores[v])
+	edges, _ := ed.Merge()
+
+	warmOpts := opts
+	warmOpts.Warm = prev.Scores
+	for _, tc := range []struct {
+		name   string
+		merged *hin.Graph
+	}{{"objects", objects}, {"edges", edges}} {
+		warm, err := pagerank.Compute(tc.merged, warmOpts)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-	b.Run("warm", func(b *testing.B) {
-		b.ReportMetric(float64(warm.Iterations), "sweeps")
-		b.ReportMetric(float64(warm.Pushes), "pushes")
-		for i := 0; i < b.N; i++ {
-			if _, err := pagerank.Refine(merged, pagerank.DefaultOptions(), prev.Scores); err != nil {
-				b.Fatal(err)
+		cold, err := pagerank.Compute(tc.merged, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for v := range cold.Scores {
+			if diff := warm.Scores[v] - cold.Scores[v]; diff > 1e-9 || diff < -1e-9 {
+				b.Fatalf("%s: warm and cold scores disagree at %d: %g vs %g", tc.name, v, warm.Scores[v], cold.Scores[v])
 			}
 		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		b.ReportMetric(float64(cold.Iterations), "sweeps")
-		for i := 0; i < b.N; i++ {
-			if _, err := pagerank.Compute(merged, pagerank.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
+		for _, side := range []struct {
+			name  string
+			opts  pagerank.Options
+			sweep int
+		}{{"warm", warmOpts, warm.Iterations}, {"cold", opts, cold.Iterations}} {
+			b.Run(tc.name+"/"+side.name, func(b *testing.B) {
+				b.ReportMetric(float64(side.sweep), "sweeps")
+				for i := 0; i < b.N; i++ {
+					if _, err := pagerank.Compute(tc.merged, side.opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-	})
+	}
 }
 
 // BenchmarkMixturePartialInvalidate measures the end-to-end
 // incremental model update — Model.WithDelta (CSR splice + warm
-// PageRank + per-entity cache migration) followed by re-warming only
-// the invalidated mixtures — against the global-flush path it
+// PageRank + per-entity mixture invalidation) followed by re-warming
+// only the invalidated mixtures — against the global-flush path it
 // replaces: a from-scratch merge, a cold model build (cold PageRank
 // included) and a full mixture precompute. Both end in the same fully
 // warm serving state; update_test.go pins that the incremental one is
@@ -1355,14 +1361,11 @@ func BenchmarkMixturePartialInvalidate(b *testing.B) {
 				b.ReportMetric(float64(stats.MixturesKept), "mixtures-kept")
 				b.ReportMetric(float64(stats.MixturesDropped), "mixtures-dropped")
 				b.ReportMetric(float64(stats.AffectedObjects), "affected-objects")
-				b.ReportMetric(float64(stats.WarmIterations), "warm-sweeps")
+				b.ReportMetric(float64(stats.PageRankIterations), "pagerank-sweeps")
 			}
 		}
 	})
-	merged, _, err := d.Merge()
-	if err != nil {
-		b.Fatal(err)
-	}
+	merged, _ := d.Merge()
 	builder := hin.NewBuilderFromGraph(merged)
 	b.Run("full-rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

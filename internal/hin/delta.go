@@ -11,9 +11,9 @@ import (
 // Graph. It is the incremental-update counterpart of Builder: open one
 // with Graph.Append, stage additions with Append/Patch (which perform
 // the same validation and normalisation AddObject/AddLink would), and
-// splice the result into a new graph with Merge or MergeDeltas. The
-// base graph is never modified. A Delta is not safe for concurrent
-// use; the base graph remains safe to read concurrently throughout.
+// splice the result into a new graph with Merge. The base graph is
+// never modified. A Delta is not safe for concurrent use; the base
+// graph remains safe to read concurrently throughout.
 type Delta struct {
 	base  *Graph
 	baseN int
@@ -135,12 +135,6 @@ func (d *Delta) Empty() bool { return len(d.typeOf) == 0 && d.numEdges == 0 }
 // Base returns the graph the delta was opened over.
 func (d *Delta) Base() *Graph { return d.base }
 
-// Merge splices this delta into its base and returns the new graph.
-// Shorthand for MergeDeltas(d.Base(), d).
-func (d *Delta) Merge() (*Graph, MergeStats, error) {
-	return MergeDeltas(d.base, d)
-}
-
 func (d *Delta) typeOfAt(v ObjectID) TypeID {
 	if int(v) < d.baseN {
 		return d.base.typeOf[v]
@@ -152,7 +146,7 @@ func (d *Delta) validObject(v ObjectID) bool {
 	return v >= 0 && int(v) < d.baseN+len(d.typeOf)
 }
 
-// MergeStats summarises what a MergeDeltas spliced in.
+// MergeStats summarises what a Merge spliced in.
 type MergeStats struct {
 	// NewObjects and NewEdges count staged additions (edges count each
 	// forward/inverse pair once, matching Graph.NumLinks).
@@ -166,79 +160,35 @@ type MergeStats struct {
 	Touched []ObjectID
 }
 
-// MergeDeltas splices one or more deltas staged over the same base
-// graph into a new immutable Graph in one pass per relation. The
-// result is bit-identical to a from-scratch Builder.Build over the
-// unioned input — same object IDs, same CSR bytes — because staged
-// objects take the IDs a replaying Builder would assign and each
-// touched CSR row is the sorted multiset merge of the base row and
-// the staged additions. The base graph and the deltas are not
-// modified; the returned graph shares nothing mutable with either.
-//
-// Deltas are applied in argument order. Two deltas staging the same
-// (type, name) is an error: a from-scratch Builder would deduplicate
-// them into one object, which a pairwise splice cannot reproduce —
-// stage interdependent additions in a single delta instead.
-func MergeDeltas(base *Graph, deltas ...*Delta) (*Graph, MergeStats, error) {
+// Merge splices the delta into its base graph and returns a new
+// immutable Graph, in one pass per relation. The result is
+// bit-identical to a from-scratch Builder.Build over the unioned input
+// — same object IDs, same CSR bytes — because staged objects take the
+// IDs a replaying Builder would assign and each touched CSR row is the
+// sorted multiset merge of the base row and the staged additions. The
+// base graph and the delta are not modified; the returned graph shares
+// nothing mutable with either.
+func (d *Delta) Merge() (*Graph, MergeStats) {
+	base := d.base
 	schema := base.schema
-	for i, d := range deltas {
-		if d == nil {
-			return nil, MergeStats{}, fmt.Errorf("hin: MergeDeltas: delta %d is nil", i)
-		}
-		if d.base != base {
-			return nil, MergeStats{}, fmt.Errorf("hin: MergeDeltas: delta %d was staged over a different graph", i)
-		}
-	}
 	numRels := schema.NumRelations()
 	oldN := base.NumObjects()
 
-	// Combined object tables. Each delta assigned staged IDs starting
-	// at oldN; deltas after the first are shifted up by the number of
-	// objects staged before them.
-	typeOf := append([]TypeID(nil), base.typeOf...)
-	names := append([]string(nil), base.names...)
-	nameIndex := make(map[nameKey]ObjectID, len(base.nameIndex))
+	typeOf := slices.Concat(base.typeOf, d.typeOf)
+	names := slices.Concat(base.names, d.names)
+	nameIndex := make(map[nameKey]ObjectID, len(base.nameIndex)+len(d.staged))
 	for k, v := range base.nameIndex {
 		nameIndex[k] = v
 	}
-	shifts := make([]ObjectID, len(deltas))
-	next := oldN
-	for i, d := range deltas {
-		shifts[i] = ObjectID(next - d.baseN)
-		for j := range d.typeOf {
-			key := nameKey{d.typeOf[j], d.names[j]}
-			if prev, dup := nameIndex[key]; dup {
-				return nil, MergeStats{}, fmt.Errorf(
-					"hin: MergeDeltas: %s %q staged more than once across deltas (already object %d); stage dependent additions in one delta",
-					schema.Type(d.typeOf[j]).Name, d.names[j], prev)
-			}
-			nameIndex[key] = ObjectID(next)
-			typeOf = append(typeOf, d.typeOf[j])
-			names = append(names, d.names[j])
-			next++
-		}
+	for k, v := range d.staged {
+		nameIndex[k] = v
 	}
-	newN := next
+	newN := len(typeOf)
 
-	// Staged edges per forward relation, endpoints remapped into the
-	// combined ID space.
+	// Staged edges per forward relation; relations registered after
+	// the delta's last Patch have none.
 	stagedByRel := make([][]edge, numRels)
-	newEdges := 0
-	for i, d := range deltas {
-		shift := shifts[i]
-		remap := func(v ObjectID) ObjectID {
-			if int(v) >= oldN {
-				return v + shift
-			}
-			return v
-		}
-		for rel := 0; rel < len(d.edges); rel += 2 {
-			for _, e := range d.edges[rel] {
-				stagedByRel[rel] = append(stagedByRel[rel], edge{remap(e.src), remap(e.dst)})
-				newEdges++
-			}
-		}
-	}
+	copy(stagedByRel, d.edges)
 
 	g := &Graph{
 		schema:    schema,
@@ -289,9 +239,9 @@ func MergeDeltas(base *Graph, deltas ...*Delta) (*Graph, MergeStats, error) {
 
 	return g, MergeStats{
 		NewObjects: newN - oldN,
-		NewEdges:   newEdges,
+		NewEdges:   d.numEdges,
 		Touched:    touched,
-	}, nil
+	}
 }
 
 // spliceCSR merges one relation's staged edges into the base CSR in a

@@ -176,7 +176,7 @@ func (b *Builder) Build() *Graph {
 
 // sealDegrees (re)computes the total-degree cache from the adjacency
 // arrays and records the adjacency checksum that guards it. Every path
-// that constructs or splices the CSR (Build, FromParts, MergeDeltas)
+// that constructs or splices the CSR (Build, FromParts, Delta.Merge)
 // must call this last; checkDegreeCache compares the checksum against
 // the live arrays so a mutation that bypasses those paths fails loudly
 // instead of silently skewing PageRank's 1/N_v column norms.
@@ -197,7 +197,8 @@ func (g *Graph) sealDegrees() {
 // checkDegreeCache panics if the adjacency arrays no longer match the
 // checksum recorded when the total-degree cache was sealed. Graphs are
 // immutable; the only supported growth paths are a Builder rebuild and
-// Append/MergeDeltas, both of which reseal the cache. The check is
+// Graph.Append followed by Delta.Merge, both of which reseal the
+// cache. The check is
 // O(relations) — a handful of slice-length reads — so the hot callers
 // (one call per PageRank run) pay nothing measurable. It cannot catch
 // an in-place overwrite that keeps lengths unchanged, but every
@@ -208,7 +209,7 @@ func (g *Graph) checkDegreeCache() {
 		sum += int64(len(g.rels[rel].adj))
 	}
 	if sum != g.degSum {
-		panic(fmt.Sprintf("hin: total-degree cache is stale: adjacency holds %d directed links but the cache was sealed over %d — graphs are immutable; grow them through Graph.Append/MergeDeltas or a Builder", sum, g.degSum))
+		panic(fmt.Sprintf("hin: total-degree cache is stale: adjacency holds %d directed links but the cache was sealed over %d — graphs are immutable; grow them through Graph.Append and Delta.Merge or a Builder", sum, g.degSum))
 	}
 }
 

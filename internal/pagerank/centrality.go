@@ -33,21 +33,6 @@ type Centrality interface {
 	Compute(g *hin.Graph, opts Options) (*Result, error)
 }
 
-// WarmCentrality is implemented by backends that can re-converge from
-// a previous revision's score vector after a small graph change —
-// Model.WithDelta probes for it and falls back to a cold Compute (with
-// a documented stat) when the backend cannot warm-start, as HITS
-// cannot: its L2-normalized alternating sweeps have no residual
-// formulation compatible with the push phase, and a warm L1 iterate
-// would have to be re-projected anyway.
-type WarmCentrality interface {
-	Centrality
-	// Refine re-converges from prev, the converged scores of a
-	// previous, slightly different revision of the graph. Same fixed
-	// point and tolerance as Compute.
-	Refine(g *hin.Graph, opts Options, prev []float64) (*Result, error)
-}
-
 // Backend names accepted by NewCentrality. DefaultCentrality is the
 // paper's configuration.
 const (
@@ -94,7 +79,7 @@ func NewCentrality(name string, entityType hin.TypeID) (Centrality, error) {
 // ----------------------------------------------------------- pagerank
 
 // prCentrality is the paper's backend: the CSR pull kernel of Compute,
-// with Refine's warm start + Gauss–Southwell push phase for deltas.
+// warm-started from Options.Warm when it is set.
 type prCentrality struct{}
 
 func (prCentrality) Name() string { return centralityPageRank }
@@ -103,16 +88,13 @@ func (prCentrality) Compute(g *hin.Graph, opts Options) (*Result, error) {
 	return Compute(g, opts)
 }
 
-func (prCentrality) Refine(g *hin.Graph, opts Options, prev []float64) (*Result, error) {
-	return Refine(g, opts, prev)
-}
-
 // ------------------------------------------------------------- degree
 
 // degreeCentrality scores every object by its total degree across all
 // relations, normalised to sum 1 — near-free, because the degrees come
 // from the graph's build-time cache. An all-isolated graph degrades to
-// the uniform vector so Σ = 1 holds unconditionally.
+// the uniform vector so Σ = 1 holds unconditionally. One pass, so
+// there is nothing to warm-start: Options.Warm is ignored.
 type degreeCentrality struct{}
 
 func (degreeCentrality) Name() string { return centralityDegree }
@@ -145,16 +127,6 @@ func (degreeCentrality) Compute(g *hin.Graph, opts Options) (*Result, error) {
 	return &Result{Scores: scores, Iterations: 1, Converged: true}, nil
 }
 
-// Refine recomputes from scratch: degree centrality is trivially
-// incremental, a full recompute being a single O(|V|) pass over the
-// merged graph's degree cache.
-func (degreeCentrality) Refine(g *hin.Graph, opts Options, prev []float64) (*Result, error) {
-	if len(prev) == 0 {
-		return nil, errors.New("pagerank: Refine needs a previous score vector; use Compute for a cold start")
-	}
-	return degreeCentrality{}.Compute(g, opts)
-}
-
 // --------------------------------------------------------------- hits
 
 // hitsCentrality runs Kleinberg's HITS over the whole network: two
@@ -171,7 +143,8 @@ func (degreeCentrality) Refine(g *hin.Graph, opts Options, prev []float64) (*Res
 // renormalised to sum 1 so it plugs into EntityPopularity like every
 // other backend. Deterministic across worker counts: the matvec, the
 // sum-of-squares and the scale-and-delta passes all run through
-// blocked fixed-order reductions.
+// blocked fixed-order reductions. Options.Warm is ignored: every run
+// starts from the uniform vector.
 type hitsCentrality struct{}
 
 func (hitsCentrality) Name() string { return centralityHITS }
@@ -289,9 +262,7 @@ func (k *kernel) scaleDelta(dst, old []float64, inv float64) float64 {
 // fix, which keeps Σ = 1). Importance then accumulates relative to the
 // entity set rather than the whole network: a venue is important
 // because entities reach it, not because of raw connectivity. Supports
-// warm restarts through Options.Warm / Refine — warm power iteration
-// without the push phase, since the teleport support makes the seed
-// residual dense on the entity set anyway.
+// warm restarts through Options.Warm, like Compute.
 type pprCentrality struct {
 	entityType hin.TypeID
 }
@@ -364,29 +335,4 @@ func (c pprCentrality) Compute(g *hin.Graph, opts Options) (*Result, error) {
 	}
 	res.Scores = pr
 	return res, nil
-}
-
-// Refine warm-starts the power iteration from prev. No push phase: the
-// personalized teleport term makes the seed residual dense over the
-// entity set, exactly the regime where kernel.push declines, so warm
-// sweeps are the whole story here.
-func (c pprCentrality) Refine(g *hin.Graph, opts Options, prev []float64) (*Result, error) {
-	if len(prev) == 0 {
-		return nil, errors.New("pagerank: Refine needs a previous score vector; use Compute for a cold start")
-	}
-	opts.Warm = prev
-	return c.Compute(g, opts)
-}
-
-// danglingMass sums pr over the dangling-object list with the blocked
-// fixed-order reduction — the same arithmetic in the same order as the
-// inline sum in iterate.
-func (k *kernel) danglingMass(pr []float64) float64 {
-	return par.ReduceSum(len(k.dangling), par.DefaultBlock, k.workers, func(lo, hi int) float64 {
-		s := 0.0
-		for _, v := range k.dangling[lo:hi] {
-			s += pr[v]
-		}
-		return s
-	})
 }

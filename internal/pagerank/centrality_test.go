@@ -35,23 +35,6 @@ func TestNewCentralityRegistry(t *testing.T) {
 	}
 }
 
-// TestCentralityWarmSupport pins which backends advertise warm
-// restarts: pagerank, degree and ppr do; HITS deliberately does not
-// (WithDelta's documented cold-restart stat depends on this).
-func TestCentralityWarmSupport(t *testing.T) {
-	d := hin.NewDBLPSchema()
-	warm := map[string]bool{"pagerank": true, "degree": true, "hits": false, "ppr": true}
-	for name, want := range warm {
-		c, err := NewCentrality(name, d.Author)
-		if err != nil {
-			t.Fatalf("NewCentrality(%q): %v", name, err)
-		}
-		if _, ok := c.(WarmCentrality); ok != want {
-			t.Errorf("%s implements WarmCentrality = %v, want %v", name, ok, want)
-		}
-	}
-}
-
 // TestCentralityGoldenDeterminismAcrossWorkers is the pull kernel's
 // determinism harness applied to every backend: workers 1 is the
 // golden run, and workers 4/8 must reproduce every score bit for bit,
@@ -252,12 +235,11 @@ func TestPPRNoEntitiesOfType(t *testing.T) {
 	}
 }
 
-// TestPPRRefineMatchesCold: warm-started ppr converges to the cold
-// fixed point.
+// TestPPRRefineMatchesCold: ppr warm-started through Options.Warm
+// converges to the cold fixed point.
 func TestPPRRefineMatchesCold(t *testing.T) {
 	d := hin.NewDBLPSchema()
 	c, _ := NewCentrality("ppr", d.Author)
-	wc := c.(WarmCentrality)
 
 	g1 := randomDBLP(t, 21, 40)
 	prev, err := c.Compute(g1, DefaultOptions())
@@ -271,40 +253,16 @@ func TestPPRRefineMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compute(g2): %v", err)
 	}
-	warm, err := wc.Refine(g2, DefaultOptions(), prev.Scores)
+	opts := DefaultOptions()
+	opts.Warm = prev.Scores
+	warm, err := c.Compute(g2, opts)
 	if err != nil {
-		t.Fatalf("Refine: %v", err)
+		t.Fatalf("warm Compute: %v", err)
 	}
 	for v := range cold.Scores {
 		if math.Abs(cold.Scores[v]-warm.Scores[v]) > 1e-9 {
 			t.Fatalf("score[%d]: cold %v vs warm %v", v, cold.Scores[v], warm.Scores[v])
 		}
-	}
-	if _, err := wc.Refine(g2, DefaultOptions(), nil); err == nil {
-		t.Error("Refine accepted an empty previous vector")
-	}
-}
-
-func TestDegreeRefineMatchesCompute(t *testing.T) {
-	d := hin.NewDBLPSchema()
-	c, _ := NewCentrality("degree", d.Author)
-	wc := c.(WarmCentrality)
-	g := randomDBLP(t, 5, 25)
-	cold, err := c.Compute(g, DefaultOptions())
-	if err != nil {
-		t.Fatalf("Compute: %v", err)
-	}
-	warm, err := wc.Refine(g, DefaultOptions(), cold.Scores)
-	if err != nil {
-		t.Fatalf("Refine: %v", err)
-	}
-	for v := range cold.Scores {
-		if math.Float64bits(cold.Scores[v]) != math.Float64bits(warm.Scores[v]) {
-			t.Fatalf("score[%d] differs between Compute and Refine", v)
-		}
-	}
-	if _, err := wc.Refine(g, DefaultOptions(), nil); err == nil {
-		t.Error("Refine accepted an empty previous vector")
 	}
 }
 

@@ -57,15 +57,13 @@ type Options struct {
 	// iteration instead of the uniform vector — typically the
 	// converged scores of a previous, slightly different revision of
 	// the graph. It may be shorter than the graph (objects past its
-	// end start at the uniform score) and is renormalised to sum to 1.
+	// end start at zero) and is renormalised to sum to 1.
 	// Warm-starting changes the iteration path, not the fixed point:
-	// the result still converges to the same Tolerance. Execution
-	// state, not model state; excluded from saved models.
+	// the result still converges to the same Tolerance. Compute (the
+	// pagerank backend) and the ppr backend read it; degree (one pass)
+	// and hits ignore it. Execution state, not model state; excluded
+	// from saved models.
 	Warm []float64 `json:"-"`
-	// MaxPushes bounds the residual-queue pushes Refine performs
-	// between its seed sweep and the certifying sweeps; 0 selects
-	// 64×NumObjects. Execution knob; excluded from saved models.
-	MaxPushes int `json:"-"`
 }
 
 // DefaultOptions returns the paper's configuration: λ = 0.2, with a
@@ -93,9 +91,6 @@ func (o Options) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("pagerank: workers %d negative (0 = GOMAXPROCS)", o.Workers)
 	}
-	if o.MaxPushes < 0 {
-		return fmt.Errorf("pagerank: max pushes %d negative (0 = default)", o.MaxPushes)
-	}
 	return nil
 }
 
@@ -110,9 +105,6 @@ type Result struct {
 	// Converged reports whether Delta fell below the tolerance before
 	// MaxIterations was reached.
 	Converged bool
-	// Pushes is the number of residual-queue pushes performed; always
-	// zero for Compute, see Refine.
-	Pushes int
 }
 
 // sweepBlock is the fixed vertex-block size of the pull sweep. Each
@@ -124,9 +116,7 @@ type Result struct {
 const sweepBlock = 512
 
 // kernel bundles everything one pull sweep needs: the inverted column
-// norms, the dangling-object list and the flat CSR row snapshots. Both
-// Compute and Refine iterate through the same kernel, so the warm path
-// is the same arithmetic in the same order as the cold one.
+// norms, the dangling-object list and the flat CSR row snapshots.
 type kernel struct {
 	n       int
 	lambda  float64
@@ -176,23 +166,23 @@ func newKernel(g *hin.Graph, opts Options) *kernel {
 	return k
 }
 
-// iterate performs one pull sweep pr → next and returns the L1 change.
-// When resid is non-nil it also records the per-vertex change
-// next[v]−pr[v], i.e. the exact residual F(pr)−pr that Refine's push
-// phase consumes. The extra store does not perturb the arithmetic:
-// cold Compute results stay bit-identical to the pre-kernel code.
-func (k *kernel) iterate(pr, next, resid []float64) float64 {
-	// Mass from dangling objects is spread uniformly. The list is
-	// typically tiny; the blocked reduction keeps it deterministic
-	// and parallel when it is not.
-	danglingMass := par.ReduceSum(len(k.dangling), par.DefaultBlock, k.workers, func(lo, hi int) float64 {
+// danglingMass sums pr over the dangling-object list. The list is
+// typically tiny; the blocked fixed-order reduction keeps the sum
+// deterministic, and parallel when it is not.
+func (k *kernel) danglingMass(pr []float64) float64 {
+	return par.ReduceSum(len(k.dangling), par.DefaultBlock, k.workers, func(lo, hi int) float64 {
 		s := 0.0
 		for _, v := range k.dangling[lo:hi] {
 			s += pr[v]
 		}
 		return s
 	})
-	base := k.lambda*k.initial + (1-k.lambda)*danglingMass/float64(k.n)
+}
+
+// iterate performs one pull sweep pr → next and returns the L1 change.
+func (k *kernel) iterate(pr, next []float64) float64 {
+	// Mass from dangling objects is spread uniformly.
+	base := k.lambda*k.initial + (1-k.lambda)*k.danglingMass(pr)/float64(k.n)
 
 	// Pull sweep: next[v] = base + (1−λ)·Σ_rel Σ_{u∈N_rel(v)}
 	// pr[u]·invOutDeg[u]. Each vertex's sum accumulates serially in
@@ -210,11 +200,7 @@ func (k *kernel) iterate(pr, next, resid []float64) float64 {
 			}
 			nv := base + (1-k.lambda)*sum
 			next[v] = nv
-			diff := nv - pr[v]
-			if resid != nil {
-				resid[v] = diff
-			}
-			d += math.Abs(diff)
+			d += math.Abs(nv - pr[v])
 		}
 		return d
 	})
@@ -226,8 +212,8 @@ func (k *kernel) iterate(pr, next, resid []float64) float64 {
 // ReferenceCompute up to floating-point summation-order differences
 // (≤ ~1e-12 in practice; the equivalence tests pin 1e-9 L∞). With
 // Options.Warm set the iteration starts from the supplied vector
-// instead of the uniform one and typically converges in far fewer
-// sweeps; Refine adds a push-based refinement on top for small deltas.
+// instead of the uniform one and typically converges in fewer sweeps
+// — the popularity refresh after a graph delta.
 func Compute(g *hin.Graph, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -252,7 +238,7 @@ func Compute(g *hin.Graph, opts Options) (*Result, error) {
 
 	res := &Result{}
 	for iter := 0; iter < opts.MaxIterations; iter++ {
-		delta := k.iterate(pr, next, nil)
+		delta := k.iterate(pr, next)
 		pr, next = next, pr
 		res.Iterations = iter + 1
 		res.Delta = delta
@@ -263,6 +249,40 @@ func Compute(g *hin.Graph, opts Options) (*Result, error) {
 	}
 	res.Scores = pr
 	return res, nil
+}
+
+// warmInit fills pr from a previous score vector and renormalises so
+// Σpr = 1 — the invariant the dangling-mass redistribution relies on.
+// Objects past the vector's end (newly appended ones) start at score
+// zero rather than 1/n: padding with the uniform score would rescale
+// every carried-over coordinate and smear a small, local graph delta
+// into a dense global residual, while zero-padding keeps the old
+// coordinates (already at their old fixed point) essentially exact.
+// Serial and order-fixed, so warm-started runs stay deterministic
+// across worker counts.
+func warmInit(pr, warm []float64) error {
+	if len(warm) > len(pr) {
+		return fmt.Errorf("pagerank: warm vector has %d scores for %d objects", len(warm), len(pr))
+	}
+	sum := 0.0
+	for i, x := range warm {
+		if math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
+			return fmt.Errorf("pagerank: warm score %d is %v", i, x)
+		}
+		pr[i] = x
+		sum += x
+	}
+	for i := len(warm); i < len(pr); i++ {
+		pr[i] = 0
+	}
+	if sum <= 0 {
+		return errors.New("pagerank: warm vector sums to zero")
+	}
+	inv := 1 / sum
+	for i := range pr {
+		pr[i] *= inv
+	}
+	return nil
 }
 
 // ReferenceCompute is the original serial edge-push kernel, retained

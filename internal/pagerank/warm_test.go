@@ -28,10 +28,28 @@ func smallDelta(t testing.TB, g *hin.Graph, papers int) *hin.Graph {
 		d.MustPatch(write, authors[i%len(authors)], p)
 		d.MustPatch(publish, venues[i%len(venues)], p)
 	}
-	merged, _, err := d.Merge()
-	if err != nil {
-		t.Fatalf("merge delta: %v", err)
+	merged, _ := d.Merge()
+	return merged
+}
+
+// edgeDelta stages the given number of new write links between
+// existing authors and papers of the connected bulk — no new objects,
+// so the teleport term is unchanged and only the rows around the new
+// links move.
+func edgeDelta(t testing.TB, g *hin.Graph, edges int) *hin.Graph {
+	t.Helper()
+	s := g.Schema()
+	write, _ := s.RelationByName("write")
+	authorT, _ := s.TypeByName("author")
+	paperT, _ := s.TypeByName("paper")
+	authors := g.ObjectsOfType(authorT)
+	papers := g.ObjectsOfType(paperT)
+
+	d := g.Append()
+	for i := 0; i < edges; i++ {
+		d.MustPatch(write, authors[(7*i)%len(authors)], papers[(13*i+5)%len(papers)])
 	}
+	merged, _ := d.Merge()
 	return merged
 }
 
@@ -46,10 +64,11 @@ func linf(a, b []float64) float64 {
 }
 
 // TestRefineMatchesReferenceAfterDelta pins the warm-start correctness
-// claim: after a small delta, Refine from the previous revision's
-// scores lands within 1e-9 L∞ of ReferenceCompute on the new graph —
-// the same bound the cold pull kernel is held to — at workers 1, 4
-// and 8, in far fewer sweeps than a cold start.
+// claim: after a small object-adding delta, Compute warm-started from
+// the previous revision's scores lands within 1e-9 L∞ of
+// ReferenceCompute on the new graph — the same bound the cold pull
+// kernel is held to — at workers 1, 4 and 8, in fewer sweeps than a
+// cold start.
 func TestRefineMatchesReferenceAfterDelta(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := randomDBLP(t, seed, 40)
@@ -69,28 +88,28 @@ func TestRefineMatchesReferenceAfterDelta(t *testing.T) {
 			t.Fatalf("seed %d: ReferenceCompute: %v", seed, err)
 		}
 
+		opts.Warm = prev.Scores
 		for _, workers := range []int{1, 4, 8} {
 			opts.Workers = workers
-			warm, err := Refine(g2, opts, prev.Scores)
+			warm, err := Compute(g2, opts)
 			if err != nil {
-				t.Fatalf("seed %d workers %d: Refine: %v", seed, workers, err)
+				t.Fatalf("seed %d workers %d: warm Compute: %v", seed, workers, err)
 			}
 			if !warm.Converged {
-				t.Fatalf("seed %d workers %d: Refine did not converge (delta %g)", seed, workers, warm.Delta)
+				t.Fatalf("seed %d workers %d: warm Compute did not converge (delta %g)", seed, workers, warm.Delta)
 			}
 			if d := linf(warm.Scores, oracle.Scores); d > 1e-9 {
-				t.Errorf("seed %d workers %d: Refine vs reference L∞ = %g, want <= 1e-9", seed, workers, d)
+				t.Errorf("seed %d workers %d: warm vs reference L∞ = %g, want <= 1e-9", seed, workers, d)
 			}
 			if d := linf(warm.Scores, cold.Scores); d > 1e-9 {
-				t.Errorf("seed %d workers %d: Refine vs cold Compute L∞ = %g, want <= 1e-9", seed, workers, d)
+				t.Errorf("seed %d workers %d: warm vs cold Compute L∞ = %g, want <= 1e-9", seed, workers, d)
 			}
-			// An object-adding delta shifts the teleport term at
-			// every vertex, so the residual is dense and the win here
-			// is the warm head start alone (the push phase correctly
-			// declines); the concentrated-delta speedup is pinned by
-			// TestRefinePushDrainsLocalDelta.
+			// An object-adding delta shifts the teleport term at every
+			// vertex, so the head start is smaller than on an
+			// edge-only delta (TestWarmStartEdgeOnlyDelta), but it
+			// must still pay.
 			if warm.Iterations >= cold.Iterations {
-				t.Errorf("seed %d workers %d: Refine used %d sweeps, cold used %d — warm start is not paying off",
+				t.Errorf("seed %d workers %d: warm Compute used %d sweeps, cold used %d — warm start is not paying off",
 					seed, workers, warm.Iterations, cold.Iterations)
 			}
 			sum := 0.0
@@ -104,33 +123,53 @@ func TestRefineMatchesReferenceAfterDelta(t *testing.T) {
 	}
 }
 
-// TestRefineDeterministicAcrossWorkers extends the kernel's
-// determinism contract to the warm path: the sweeps use the blocked
-// fixed-order reductions and the push phase is serial, so workers
-// 1/4/8 must be bit-identical.
-func TestRefineDeterministicAcrossWorkers(t *testing.T) {
+// TestWarmStartEdgeOnlyDelta: new links between existing objects of a
+// connected graph. Warm Compute lands within 1e-9 L∞ of
+// ReferenceCompute in fewer sweeps than cold, and the warm path keeps
+// the kernel's determinism contract: workers 1/4/8 are bit-identical.
+func TestWarmStartEdgeOnlyDelta(t *testing.T) {
 	g := randomDBLP(t, 7, 50)
 	opts := DefaultOptions()
 	prev, err := Compute(g, opts)
 	if err != nil {
 		t.Fatalf("cold Compute: %v", err)
 	}
-	g2 := smallDelta(t, g, 4)
-
-	opts.Workers = 1
-	golden, err := Refine(g2, opts, prev.Scores)
+	g2 := edgeDelta(t, g, 5)
+	if g2.NumObjects() != g.NumObjects() {
+		t.Fatalf("edge-only delta added %d objects", g2.NumObjects()-g.NumObjects())
+	}
+	cold, err := Compute(g2, opts)
 	if err != nil {
-		t.Fatalf("Refine(workers=1): %v", err)
+		t.Fatalf("cold Compute on merged: %v", err)
+	}
+	oracle, err := ReferenceCompute(g2, opts)
+	if err != nil {
+		t.Fatalf("ReferenceCompute: %v", err)
+	}
+
+	opts.Warm = prev.Scores
+	opts.Workers = 1
+	golden, err := Compute(g2, opts)
+	if err != nil {
+		t.Fatalf("warm Compute(workers=1): %v", err)
+	}
+	if !golden.Converged {
+		t.Fatalf("warm Compute did not converge (delta %g)", golden.Delta)
+	}
+	if d := linf(golden.Scores, oracle.Scores); d > 1e-9 {
+		t.Errorf("warm vs reference L∞ = %g, want <= 1e-9", d)
+	}
+	if golden.Iterations >= cold.Iterations {
+		t.Errorf("warm Compute used %d sweeps, cold used %d", golden.Iterations, cold.Iterations)
 	}
 	for _, workers := range []int{4, 8} {
 		opts.Workers = workers
-		res, err := Refine(g2, opts, prev.Scores)
+		res, err := Compute(g2, opts)
 		if err != nil {
-			t.Fatalf("Refine(workers=%d): %v", workers, err)
+			t.Fatalf("warm Compute(workers=%d): %v", workers, err)
 		}
-		if res.Iterations != golden.Iterations || res.Pushes != golden.Pushes {
-			t.Fatalf("workers=%d: (%d sweeps, %d pushes) differs from golden (%d, %d)",
-				workers, res.Iterations, res.Pushes, golden.Iterations, golden.Pushes)
+		if res.Iterations != golden.Iterations {
+			t.Fatalf("workers=%d: %d sweeps, golden %d", workers, res.Iterations, golden.Iterations)
 		}
 		for v := range golden.Scores {
 			if math.Float64bits(res.Scores[v]) != math.Float64bits(golden.Scores[v]) {
@@ -140,12 +179,10 @@ func TestRefineDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRefinePushDrainsLocalDelta exercises the Gauss–Southwell phase
-// proper: an edge-only delta confined to a tiny component of a large
-// graph leaves the seed residual local, so the push queue drains it
-// without sweeping the bulk, and one or two sweeps certify. This is
-// the regime where Refine beats warm power iteration outright.
-func TestRefinePushDrainsLocalDelta(t *testing.T) {
+// TestWarmStartLocalDelta: an edge-only delta confined to a tiny
+// component of a larger graph leaves the bulk at its fixed point, so
+// warm power iteration certifies convergence in a couple of sweeps.
+func TestWarmStartLocalDelta(t *testing.T) {
 	d := hin.NewDBLPSchema()
 	b := hin.NewBuilder(d.Schema)
 	// Big component: a well-connected bulk.
@@ -175,34 +212,29 @@ func TestRefinePushDrainsLocalDelta(t *testing.T) {
 	}
 
 	// Edge-only delta inside the small component: no new objects, no
-	// renormalisation — the residual cannot reach the big component.
+	// renormalisation — the change cannot reach the big component.
 	delta := g.Append()
 	delta.MustPatch(d.Write, smallAuthor, smallPapers[0])
-	g2, _, err := delta.Merge()
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
+	g2, _ := delta.Merge()
 
 	cold, err := Compute(g2, opts)
 	if err != nil {
 		t.Fatalf("cold Compute on merged: %v", err)
 	}
-	warm, err := Refine(g2, opts, prev.Scores)
+	opts.Warm = prev.Scores
+	warm, err := Compute(g2, opts)
 	if err != nil {
-		t.Fatalf("Refine: %v", err)
+		t.Fatalf("warm Compute: %v", err)
 	}
 	if !warm.Converged {
-		t.Fatalf("Refine did not converge (delta %g)", warm.Delta)
-	}
-	if warm.Pushes == 0 {
-		t.Error("local delta did not trigger the push phase")
+		t.Fatalf("warm Compute did not converge (delta %g)", warm.Delta)
 	}
 	if warm.Iterations > 3 {
-		t.Errorf("Refine needed %d sweeps on a local delta, want <= 3 (cold needed %d)",
+		t.Errorf("warm Compute needed %d sweeps on a local delta, want <= 3 (cold needed %d)",
 			warm.Iterations, cold.Iterations)
 	}
 	if d := linf(warm.Scores, cold.Scores); d > 1e-9 {
-		t.Errorf("Refine vs cold L∞ = %g, want <= 1e-9", d)
+		t.Errorf("warm vs cold L∞ = %g, want <= 1e-9", d)
 	}
 }
 
@@ -236,8 +268,8 @@ func TestComputeWarmOption(t *testing.T) {
 	}
 }
 
-// TestRefineIdenticalGraph: refining with an unchanged graph certifies
-// convergence on the seed sweep alone.
+// TestRefineIdenticalGraph: warm-starting on an unchanged graph
+// certifies convergence on the first sweep.
 func TestRefineIdenticalGraph(t *testing.T) {
 	g := randomDBLP(t, 13, 30)
 	opts := DefaultOptions()
@@ -245,13 +277,14 @@ func TestRefineIdenticalGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold Compute: %v", err)
 	}
-	warm, err := Refine(g, opts, prev.Scores)
+	opts.Warm = prev.Scores
+	warm, err := Compute(g, opts)
 	if err != nil {
-		t.Fatalf("Refine: %v", err)
+		t.Fatalf("warm Compute: %v", err)
 	}
-	if !warm.Converged || warm.Iterations != 1 || warm.Pushes != 0 {
-		t.Errorf("no-op refine = %d sweeps, %d pushes, converged=%v; want 1, 0, true",
-			warm.Iterations, warm.Pushes, warm.Converged)
+	if !warm.Converged || warm.Iterations != 1 {
+		t.Errorf("no-op warm start = %d sweeps, converged=%v; want 1, true",
+			warm.Iterations, warm.Converged)
 	}
 }
 
@@ -271,13 +304,5 @@ func TestWarmValidation(t *testing.T) {
 	opts.Warm = []float64{-1}
 	if _, err := Compute(g, opts); err == nil {
 		t.Error("negative warm score accepted")
-	}
-	opts.Warm = nil
-	if _, err := Refine(g, opts, nil); err == nil {
-		t.Error("Refine without a previous vector accepted")
-	}
-	opts.MaxPushes = -1
-	if _, err := Refine(g, opts, make([]float64, n)); err == nil {
-		t.Error("negative MaxPushes accepted")
 	}
 }

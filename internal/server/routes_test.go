@@ -33,7 +33,7 @@ func TestMetricsLifecycleSeries(t *testing.T) {
 		"shine_walker_walks_total",
 		"shine_walker_walk_hops_total",
 		"shine_walker_walks_canceled_total",
-		shine.MetricCentralityWarmIterations,
+		shine.MetricCentralityIterations,
 		"shine_go_heap_live_bytes",
 		"shine_go_heap_goal_bytes",
 		"shine_go_memory_total_bytes",

@@ -207,9 +207,9 @@ func (s *Server) Update(r io.Reader) (shine.UpdateStats, error) {
 	s.delta.edges.Add(uint64(stats.NewEdges))
 	s.delta.mergeSeconds.Set(stats.MergeSeconds)
 	if s.logger != nil {
-		s.logger.Printf("delta update: +%d objects +%d edges, %d/%d objects affected, kept %d mixtures / %d walks (%.3fs total)",
+		s.logger.Printf("delta update: +%d objects +%d edges, %d/%d objects affected, kept %d mixtures (%.3fs total)",
 			stats.NewObjects, stats.NewEdges, stats.AffectedObjects, m2.Graph().NumObjects(),
-			stats.MixturesKept, stats.WalkEntriesKept, time.Since(start).Seconds())
+			stats.MixturesKept, time.Since(start).Seconds())
 	}
 	return stats, nil
 }

@@ -76,11 +76,12 @@ func TestUpdateEndpoint(t *testing.T) {
 	if got := s.delta.failures.Value(); got != 0 {
 		t.Errorf("failure counter = %v, want 0", got)
 	}
-	// The warm-iterations gauge appears in the exposition (PageRank
+	// The iterations gauge reports the update's refresh (PageRank
 	// popularity is the default for testServer models).
 	mw := do(s, http.MethodGet, "/metrics", "")
-	if !strings.Contains(mw.Body.String(), shine.MetricCentralityWarmIterations) {
-		t.Errorf("exposition missing %s", shine.MetricCentralityWarmIterations)
+	series := fmt.Sprintf("%s %d\n", shine.MetricCentralityIterations, resp.Stats.PageRankIterations)
+	if resp.Stats.PageRankIterations == 0 || !strings.Contains(mw.Body.String(), series) {
+		t.Errorf("exposition lacks %q (update took %d sweeps)", series, resp.Stats.PageRankIterations)
 	}
 }
 
@@ -278,11 +279,7 @@ func TestUpdateUnderLoad(t *testing.T) {
 		nips, _ := dl.Lookup(d.Venue, "NIPS")
 		dl.MustPatch(d.Write, w2, paper)
 		dl.MustPatch(d.Publish, nips, paper)
-		var err error
-		gCold, _, err = dl.Merge()
-		if err != nil {
-			t.Fatalf("cold merge %d: %v", i, err)
-		}
+		gCold, _ = dl.Merge()
 	}
 	cfg := shine.DefaultConfig()
 	cfg.Popularity = shine.PopularityUniform
@@ -345,10 +342,7 @@ func FuzzDeltaPatch(f *testing.F) {
 		if err := stageOp(g, delta, []byte(line)); err != nil {
 			return // rejected lines must simply not stage anything
 		}
-		merged, stats, err := hin.MergeDeltas(g, delta)
-		if err != nil {
-			t.Fatalf("staged op failed to merge: %v\nline: %q", err, line)
-		}
+		merged, stats := delta.Merge()
 		if err := merged.Validate(); err != nil {
 			t.Fatalf("merged graph invalid: %v\nline: %q", err, line)
 		}

@@ -44,22 +44,12 @@ const (
 	// (backend="pagerank"|"degree"|"hits"|"ppr") is set to 1.
 	MetricCentralityBackend = "shine_centrality_backend"
 	// MetricCentralitySeconds / MetricCentralityIterations are the
-	// wall-clock and iteration count of the most recent offline
-	// popularity run, whichever backend produced it; 0 under the
+	// wall-clock and iteration count of the most recent popularity
+	// run — at build, or the refresh of the update that produced the
+	// serving generation — whichever backend produced it; 0 under the
 	// uniform popularity model.
 	MetricCentralitySeconds    = "shine_centrality_seconds"
 	MetricCentralityIterations = "shine_centrality_iterations"
-	// MetricCentralityWarmIterations is the sweep count of the most
-	// recent warm-started popularity refresh (Model.WithDelta); 0 for
-	// a cold-built model. Compare against shine_centrality_iterations
-	// to see what the warm start saved.
-	MetricCentralityWarmIterations = "shine_centrality_warm_iterations"
-	// MetricCentralityColdRestarts counts incremental updates
-	// (Model.WithDelta) whose popularity refresh could not warm-start
-	// and ran cold instead — HITS always lands here (no warm
-	// formulation), as does any backend on a snapshot-restored model
-	// whose raw score vector was not persisted.
-	MetricCentralityColdRestarts = "shine_centrality_cold_restarts_total"
 	// MetricGraphBuildSeconds is the wall-clock of loading and
 	// building the immutable CSR graph, recorded by `shine serve` at
 	// startup.
@@ -121,8 +111,6 @@ type modelMetrics struct {
 	emLogLik       *obs.Gauge
 	cenSeconds     *obs.Gauge
 	cenIterations  *obs.Gauge
-	cenWarmIters   *obs.Gauge
-	cenColdStarts  *obs.Counter
 	candLookups    *obs.Counter
 	candFuzzy      *obs.Counter
 	candSeconds    *obs.Histogram
@@ -159,8 +147,6 @@ func (m *Model) SetMetrics(reg *obs.Registry) {
 		emLogLik:       reg.Gauge(MetricEMLogLikelihood),
 		cenSeconds:     reg.Gauge(MetricCentralitySeconds),
 		cenIterations:  reg.Gauge(MetricCentralityIterations),
-		cenWarmIters:   reg.Gauge(MetricCentralityWarmIterations),
-		cenColdStarts:  reg.Counter(MetricCentralityColdRestarts),
 		candLookups:    reg.Counter(MetricCandidatesLookups),
 		candFuzzy:      reg.Counter(MetricCandidatesFuzzy),
 		candSeconds:    reg.Histogram(MetricCandidatesSeconds, nil),
@@ -177,7 +163,7 @@ func (m *Model) SetMetrics(reg *obs.Registry) {
 	// during the WithDelta that produced this generation), before any
 	// registry was attached; publish the recorded run so the gauges are
 	// correct from the first scrape.
-	m.metrics.observeCentrality(m.prSeconds, m.prIterations, m.prWarmIterations)
+	m.metrics.observeCentrality(m.prSeconds, m.prIterations)
 }
 
 // UnregisterCollectors detaches the model's walker-cache and
@@ -195,25 +181,14 @@ func (m *Model) UnregisterCollectors(reg *obs.Registry) {
 	reg.Unregister(&m.mixtures)
 }
 
-// observeCentrality publishes the most recent offline centrality run
-// and the warm-refresh sweep count. Safe on a nil receiver.
-func (mm *modelMetrics) observeCentrality(seconds float64, iterations, warmIterations int) {
+// observeCentrality publishes the most recent centrality run. Safe on
+// a nil receiver.
+func (mm *modelMetrics) observeCentrality(seconds float64, iterations int) {
 	if mm == nil {
 		return
 	}
 	mm.cenSeconds.Set(seconds)
 	mm.cenIterations.Set(float64(iterations))
-	mm.cenWarmIters.Set(float64(warmIterations))
-}
-
-// observeCentralityColdRestart counts one incremental update whose
-// popularity refresh ran cold (see UpdateStats.ColdPopularity). Safe
-// on a nil receiver.
-func (mm *modelMetrics) observeCentralityColdRestart() {
-	if mm == nil {
-		return
-	}
-	mm.cenColdStarts.Inc()
 }
 
 // observeLink records the outcome of one link call. Safe on a nil

@@ -54,17 +54,16 @@ type Model struct {
 	popularity map[hin.ObjectID]float64
 	// prScores is the raw whole-network centrality vector behind
 	// popularity (nil under PopularityUniform), produced by the
-	// cfg.Centrality backend. WithDelta warm-starts the backend's
-	// Refine from it where supported, so an incremental update
-	// re-converges in a handful of sweeps instead of a cold run.
+	// cfg.Centrality backend. WithDelta passes it to the next
+	// revision's run as pagerank.Options.Warm, so an incremental
+	// update re-converges in fewer sweeps than a cold run. Snapshots
+	// do not store it: a restored model's first update runs cold.
 	prScores []float64
-	// prSeconds/prIterations record the most recent offline centrality
-	// run (zero under PopularityUniform); published as gauges by
-	// SetMetrics. prWarmIterations is the sweep count of the most
-	// recent warm-started refresh (zero for cold-built models).
-	prSeconds        float64
-	prIterations     int
-	prWarmIterations int
+	// prSeconds/prIterations record the most recent centrality run
+	// (zero under PopularityUniform); published as gauges by
+	// SetMetrics.
+	prSeconds    float64
+	prIterations int
 	// cands generates candidate entities; by default a
 	// *surftrie.Trie, but replaceable via SetCandidateSource.
 	cands   CandidateSource
@@ -102,7 +101,7 @@ func New(g *hin.Graph, entityType hin.TypeID, paths []metapath.Path, docs *corpu
 		}
 	}
 
-	pop, prScores, prSeconds, prIters, err := computePopularity(g, entityType, cfg)
+	pop, prScores, prSeconds, prIters, err := computePopularity(g, entityType, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -136,18 +135,20 @@ func New(g *hin.Graph, entityType hin.TypeID, paths []metapath.Path, docs *corpu
 	return m, nil
 }
 
-// computePopularity runs the configured offline popularity model over
-// g: uniform (Formula 5), or the configured centrality backend
-// normalised over the entity set (Formulas 6–7 with "pagerank", the
-// paper's choice and the default; see pagerank.NewCentrality for
-// "degree", "hits" and "ppr"). The centrality kernel inherits
-// cfg.Workers when cfg.PageRank.Workers is unset, so `-workers`
-// bounds the whole offline pipeline, not just EM; any worker count
-// produces bit-identical scores. Returns the popularity map, the raw
-// score vector (nil in uniform mode; WithDelta warm-starts from it),
-// plus the centrality wall-clock seconds and iteration count (both
-// zero in uniform mode) for the shine_centrality_* gauges.
-func computePopularity(g *hin.Graph, entityType hin.TypeID, cfg Config) (map[hin.ObjectID]float64, []float64, float64, int, error) {
+// computePopularity runs the configured popularity model over g:
+// uniform (Formula 5), or the configured centrality backend normalised
+// over the entity set (Formulas 6–7 with "pagerank", the paper's
+// choice and the default; see pagerank.NewCentrality for "degree",
+// "hits" and "ppr"). warm, when non-nil, is the previous revision's
+// raw score vector; it becomes pagerank.Options.Warm, which the
+// backends that iterate from a start vector read. The centrality
+// kernel inherits cfg.Workers when cfg.PageRank.Workers is unset, so
+// `-workers` bounds the whole offline pipeline, not just EM; any
+// worker count produces bit-identical scores. Returns the popularity
+// map, the raw score vector (nil in uniform mode), plus the centrality
+// wall-clock seconds and iteration count (both zero in uniform mode)
+// for the shine_centrality_* gauges.
+func computePopularity(g *hin.Graph, entityType hin.TypeID, cfg Config, warm []float64) (map[hin.ObjectID]float64, []float64, float64, int, error) {
 	if cfg.Popularity == PopularityUniform {
 		p, err := pagerank.UniformPopularity(g, entityType)
 		return p, nil, 0, 0, err
@@ -160,6 +161,7 @@ func computePopularity(g *hin.Graph, entityType hin.TypeID, cfg Config) (map[hin
 	if prOpts.Workers == 0 {
 		prOpts.Workers = cfg.Workers
 	}
+	prOpts.Warm = warm
 	start := time.Now()
 	res, err := cen.Compute(g, prOpts)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"shine/internal/hin"
 	"shine/internal/metapath"
-	"shine/internal/pagerank"
 	"shine/internal/surftrie"
 )
 
@@ -21,33 +20,25 @@ type UpdateStats struct {
 	// TouchedObjects is the number of objects whose adjacency rows the
 	// delta changed — the seeds of the invalidation ball.
 	TouchedObjects int
-	// AffectedObjects counts the objects whose cached walks or frozen
-	// mixture could have changed: the touched objects plus every walk
-	// source that reaches one along a typed prefix of a model
-	// meta-path. Everything outside the set survives the swap warm.
+	// AffectedObjects counts the objects whose frozen mixture could
+	// have changed: the touched objects plus every walk source that
+	// reaches one along a typed prefix of a model meta-path. Mixtures
+	// outside the set survive the swap warm.
 	AffectedObjects int
 	// MergeSeconds is the wall-clock of the CSR splice alone.
 	MergeSeconds float64
-	// PageRankSeconds/WarmIterations/WarmPushes describe the warm
-	// popularity refresh (all zero under PopularityUniform).
-	PageRankSeconds float64
-	WarmIterations  int
-	WarmPushes      int
-	// ColdPopularity records that the popularity refresh ran cold
-	// instead of warm-starting from the previous revision's scores —
-	// either the centrality backend cannot warm-start (HITS: its
-	// L2-normalised alternating sweeps have no warm/push formulation),
-	// or the model had no score vector to start from (snapshot-restored
-	// models persist only the densified popularity). Also counted by
-	// the shine_centrality_cold_restarts_total metric.
-	ColdPopularity bool
-	// MixturesKept/Dropped and WalkEntriesKept/Dropped count the
-	// frozen-mixture and walk-cache entries that survived per-entity
-	// invalidation versus the ones inside the ball.
-	MixturesKept       int
-	MixturesDropped    int
-	WalkEntriesKept    int
-	WalkEntriesDropped int
+	// PageRankSeconds/PageRankIterations describe the popularity
+	// refresh (both zero under PopularityUniform). The pagerank and
+	// ppr backends start it from the previous revision's scores; a
+	// model restored from a snapshot has none, so its first update
+	// runs cold, as hits always does.
+	PageRankSeconds    float64
+	PageRankIterations int
+	// MixturesKept/Dropped count the frozen-mixture entries that
+	// survived per-entity invalidation versus the ones inside the
+	// ball.
+	MixturesKept    int
+	MixturesDropped int
 	// TrieRebuilt records whether the surface-form index had to be
 	// rebuilt (only when the delta added entity-type objects).
 	TrieRebuilt bool
@@ -55,23 +46,27 @@ type UpdateStats struct {
 
 // WithDelta applies a staged graph delta and returns a new Model over
 // the merged graph — the incremental-update path. Where a cold
-// rebuild throws every warm structure away, WithDelta invalidates per
-// entity: a cached walk or frozen mixture depends only on the
-// adjacency rows a meta-path walk from the source entity can read, so
-// after a small delta only entities that reach a touched object (an
-// endpoint of a new edge, or a new object) along a typed path prefix
-// can have changed — see affectedSources. Everything else — most of the cache,
-// for a small delta — migrates to the new model as-is, object IDs
-// being stable across MergeDeltas.
+// rebuild throws every frozen mixture away, WithDelta invalidates per
+// entity: a frozen mixture depends only on the adjacency rows a
+// meta-path walk from the source entity can read, so after a small
+// delta only entities that reach a touched object (an endpoint of a
+// new edge, or a new object) along a typed path prefix can have
+// changed — see affectedSources. Every other mixture — most of the
+// index, for a small delta — moves to the new model as-is, object IDs
+// being stable across Delta.Merge. The walk cache starts empty, as
+// after FromParts: a surviving entity serves its kept mixture and
+// never reads its cached walks again, and an affected entity's walks
+// are stale.
 //
-// Popularity is refreshed over the whole merged graph: uniform mode
+// Popularity is refreshed over the whole merged graph by
+// computePopularity, the function New calls: uniform mode
 // renormalises (so posteriors stay bit-identical to a cold rebuild
-// when the delta adds no entities), and PageRank mode warm-starts
-// pagerank.Refine from the previous revision's scores, converging to
-// the same tolerance as a cold run in far fewer sweeps. The
-// surface-form trie is rebuilt only when the delta added entity-type
-// objects; weights, meta-paths, config and the generic object model
-// carry over untouched.
+// when the delta adds no entities), and centrality mode passes the
+// previous revision's scores as pagerank.Options.Warm, converging to
+// the same tolerance as a cold run in fewer sweeps. The surface-form
+// trie is rebuilt only when the delta added entity-type objects;
+// weights, meta-paths, config and the generic object model carry over
+// untouched.
 //
 // The receiver is only read — under the same snapshot disciplines the
 // Link path uses — so WithDelta is safe to run while the old model
@@ -88,10 +83,7 @@ func (m *Model) WithDelta(d *hin.Delta) (*Model, UpdateStats, error) {
 	}
 
 	mergeStart := time.Now()
-	g2, ms, err := d.Merge()
-	if err != nil {
-		return nil, stats, fmt.Errorf("shine: merging delta: %w", err)
-	}
+	g2, ms := d.Merge()
 	stats.MergeSeconds = time.Since(mergeStart).Seconds()
 	stats.NewObjects = ms.NewObjects
 	stats.NewEdges = ms.NewEdges
@@ -99,83 +91,47 @@ func (m *Model) WithDelta(d *hin.Delta) (*Model, UpdateStats, error) {
 
 	// Invalidation keying: a walk over path r1..rL from source e reads
 	// exactly the r_{j+1}-out-rows of the objects at position j of the
-	// path, j = 0..L−1, so e's cached walks (and its frozen mixture)
-	// are stale iff a touched object is reachable from e along a typed
-	// path prefix. Sweeping each prefix backward from the touched set
-	// computes that reachability exactly at object granularity.
+	// path, j = 0..L−1, so e's frozen mixture is stale iff a touched
+	// object is reachable from e along a typed path prefix. Sweeping
+	// each prefix backward from the touched set computes that
+	// reachability exactly at object granularity.
 	affected := affectedSources(g2, m.paths, ms.Touched)
 	for _, hit := range affected {
 		if hit {
 			stats.AffectedObjects++
 		}
 	}
-	keep := func(e hin.ObjectID) bool {
-		return int(e) < len(affected) && !affected[e]
+
+	pop, prScores, prSeconds, prIters, err := computePopularity(g2, m.entityType, m.cfg, m.prScores)
+	if err != nil {
+		return nil, stats, err
 	}
+	stats.PageRankSeconds = prSeconds
+	stats.PageRankIterations = prIters
 
 	nm := &Model{
-		graph:      g2,
-		entityType: m.entityType,
-		paths:      m.paths,
-		cfg:        m.cfg,
-		generic:    m.generic,
-		cands:      m.cands,
+		graph:        g2,
+		entityType:   m.entityType,
+		paths:        m.paths,
+		cfg:          m.cfg,
+		popularity:   pop,
+		prScores:     prScores,
+		prSeconds:    prSeconds,
+		prIterations: prIters,
+		generic:      m.generic,
+		cands:        m.cands,
+		walker:       metapath.NewWalker(g2, m.cfg.WalkCacheSize),
 		// The fuzzy fallback is a serving setting; the new
 		// generation keeps it.
 		fuzzyDistance: m.fuzzyDistance,
 	}
 
-	// Weights and version move together: the migrated mixtures were
+	// Weights and version move together: the kept mixtures were
 	// frozen at this version, and the new model keeps serving them
 	// under it.
 	w, ver := m.snapshotWeightsVer()
 	nm.weights = w
 	nm.wver = ver
-
-	// Popularity refresh over the merged graph.
-	if m.cfg.Popularity == PopularityUniform {
-		pop, err := pagerank.UniformPopularity(g2, m.entityType)
-		if err != nil {
-			return nil, stats, err
-		}
-		nm.popularity = pop
-	} else {
-		cen, err := pagerank.NewCentrality(m.cfg.CentralityName(), m.entityType)
-		if err != nil {
-			return nil, stats, fmt.Errorf("shine: refreshing popularity: %w", err)
-		}
-		prOpts := m.cfg.PageRank
-		if prOpts.Workers == 0 {
-			prOpts.Workers = m.cfg.Workers
-		}
-		start := time.Now()
-		var res *pagerank.Result
-		if wc, ok := cen.(pagerank.WarmCentrality); ok && len(m.prScores) > 0 {
-			res, err = wc.Refine(g2, prOpts, m.prScores)
-		} else {
-			// Either the backend cannot warm-start (HITS), or there are
-			// no scores to start from (e.g. a snapshot-restored model);
-			// fall back to a cold run and record it.
-			stats.ColdPopularity = true
-			m.metrics.observeCentralityColdRestart()
-			res, err = cen.Compute(g2, prOpts)
-		}
-		if err != nil {
-			return nil, stats, fmt.Errorf("shine: refreshing popularity: %w", err)
-		}
-		stats.PageRankSeconds = time.Since(start).Seconds()
-		stats.WarmIterations = res.Iterations
-		stats.WarmPushes = res.Pushes
-		pop, err := pagerank.EntityPopularity(g2, res.Scores, m.entityType)
-		if err != nil {
-			return nil, stats, err
-		}
-		nm.popularity = pop
-		nm.prScores = res.Scores
-		nm.prSeconds = stats.PageRankSeconds
-		nm.prIterations = res.Iterations
-		nm.prWarmIterations = res.Iterations
-	}
 
 	// Surface-form index: object IDs and names are stable across a
 	// merge, so the trie is only stale if the delta added entity-type
@@ -195,18 +151,13 @@ func (m *Model) WithDelta(d *hin.Delta) (*Model, UpdateStats, error) {
 		}
 	}
 
-	// Walk cache: migrate every entry whose entity is outside the ball.
-	var wstats metapath.MigrateStats
-	nm.walker, wstats = m.walker.CloneFor(g2, keep)
-	stats.WalkEntriesKept = wstats.Kept
-	stats.WalkEntriesDropped = wstats.Dropped
-
-	// Frozen mixtures: same predicate, same version. Counters carry
-	// over so the monitoring series continue across the swap.
+	// Frozen mixtures: keep every entry whose entity is outside the
+	// ball, at the same version. Counters carry over so the
+	// monitoring series continue across the swap.
 	entries := m.mixtures.snapshotEntries(ver)
 	kept := entries[:0]
 	for _, en := range entries {
-		if keep(en.Entity) {
+		if int(en.Entity) < len(affected) && !affected[en.Entity] {
 			kept = append(kept, en)
 		} else {
 			stats.MixturesDropped++

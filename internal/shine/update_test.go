@@ -28,10 +28,7 @@ func stageW2Paper(f *fixture) *hin.Delta {
 // model over it — the expensive baseline WithDelta must match.
 func coldRebuild(t *testing.T, f *fixture, d *hin.Delta, mutate func(*Config)) *Model {
 	t.Helper()
-	g2, _, err := hin.MergeDeltas(f.g, d)
-	if err != nil {
-		t.Fatalf("MergeDeltas: %v", err)
-	}
+	g2, _ := d.Merge()
 	cfg := DefaultConfig()
 	if mutate != nil {
 		mutate(&cfg)
@@ -102,52 +99,79 @@ func TestWithDeltaPosteriorsBitIdenticalUniform(t *testing.T) {
 	}
 }
 
-// TestWithDeltaPageRankEquivalence: in PageRank mode the warm-started
-// refresh converges to the same tolerance as a cold run, so popularity
-// agrees to 1e-9 and linking decisions are unchanged.
+// TestWithDeltaPageRankEquivalence: in centrality mode the refresh —
+// warm-started for pagerank and ppr, cold for hits — converges to the
+// same tolerance as a cold rebuild, on an object-adding and on an
+// edge-only delta, so popularity agrees to 1e-9 and linking decisions
+// are unchanged.
 func TestWithDeltaPageRankEquivalence(t *testing.T) {
 	f := newFixture(t)
-	m1 := newModel(t, f, nil)
-	delta := stageW2Paper(f)
-	m2, stats, err := m1.WithDelta(delta)
-	if err != nil {
-		t.Fatalf("WithDelta: %v", err)
+	w1p5, ok := f.g.Lookup(f.d.Paper, "w1-p5")
+	if !ok {
+		t.Fatal("fixture lost paper w1-p5")
 	}
-	if stats.WarmIterations == 0 {
-		t.Error("PageRank mode did not record a warm refresh")
+	deltas := []struct {
+		name  string
+		stage func() *hin.Delta
+	}{
+		{"object-adding", func() *hin.Delta { return stageW2Paper(f) }},
+		{"edge-only", func() *hin.Delta {
+			d := f.g.Append()
+			d.MustPatch(f.d.Write, f.ids["muntz"], w1p5)
+			return d
+		}},
 	}
-	mCold := coldRebuild(t, f, delta, nil)
+	for _, backend := range []string{"pagerank", "ppr", "hits"} {
+		for _, dc := range deltas {
+			t.Run(backend+"/"+dc.name, func(t *testing.T) {
+				withBackend := func(c *Config) { c.Centrality = backend }
+				m1 := newModel(t, f, withBackend)
+				delta := dc.stage()
+				m2, stats, err := m1.WithDelta(delta)
+				if err != nil {
+					t.Fatalf("WithDelta: %v", err)
+				}
+				mCold := coldRebuild(t, f, delta, withBackend)
+				// hits ignores the warm start; the others must use it.
+				warm := backend != "hits"
+				if stats.PageRankIterations == 0 ||
+					(stats.PageRankIterations < mCold.prIterations) != warm {
+					t.Errorf("refresh took %d sweeps, cold rebuild %d; warm start expected: %v",
+						stats.PageRankIterations, mCold.prIterations, warm)
+				}
 
-	for _, a := range m2.Graph().ObjectsOfType(f.d.Author) {
-		if d := math.Abs(m2.Popularity(a) - mCold.Popularity(a)); d > 1e-9 {
-			t.Errorf("popularity of author %d differs by %g", a, d)
-		}
-	}
-	for _, doc := range f.corpus.Docs {
-		inc, err := m2.Link(doc)
-		if err != nil {
-			t.Fatalf("incremental Link(%s): %v", doc.ID, err)
-		}
-		cold, err := mCold.Link(doc)
-		if err != nil {
-			t.Fatalf("cold Link(%s): %v", doc.ID, err)
-		}
-		if inc.Entity != cold.Entity {
-			t.Errorf("doc %s: incremental links %d, cold links %d", doc.ID, inc.Entity, cold.Entity)
-		}
-		for i := range inc.Candidates {
-			if d := math.Abs(inc.Candidates[i].Posterior - cold.Candidates[i].Posterior); d > 1e-6 {
-				t.Errorf("doc %s candidate %d: posterior differs by %g", doc.ID, i, d)
-			}
+				for _, a := range m2.Graph().ObjectsOfType(f.d.Author) {
+					if d := math.Abs(m2.Popularity(a) - mCold.Popularity(a)); d > 1e-9 {
+						t.Errorf("popularity of author %d differs by %g", a, d)
+					}
+				}
+				for _, doc := range f.corpus.Docs {
+					inc, err := m2.Link(doc)
+					if err != nil {
+						t.Fatalf("incremental Link(%s): %v", doc.ID, err)
+					}
+					cold, err := mCold.Link(doc)
+					if err != nil {
+						t.Fatalf("cold Link(%s): %v", doc.ID, err)
+					}
+					if inc.Entity != cold.Entity {
+						t.Errorf("doc %s: incremental links %d, cold links %d", doc.ID, inc.Entity, cold.Entity)
+					}
+					for i := range inc.Candidates {
+						if d := math.Abs(inc.Candidates[i].Posterior - cold.Candidates[i].Posterior); d > 1e-6 {
+							t.Errorf("doc %s candidate %d: posterior differs by %g", doc.ID, i, d)
+						}
+					}
+				}
+			})
 		}
 	}
 }
 
 // TestWithDeltaInvalidationKeying pins the point of per-entity
 // invalidation: a delta inside one community leaves the other
-// community's frozen mixture and walk-cache entries serving — no
-// rebuild, no recomputation — while entities inside the ball are
-// dropped and rebuilt on demand.
+// community's frozen mixture serving — no rebuild, no recomputation —
+// while entities inside the ball are dropped and rebuilt on demand.
 func TestWithDeltaInvalidationKeying(t *testing.T) {
 	f := newFixture(t)
 	m1 := newModel(t, f, func(c *Config) { c.Popularity = PopularityUniform })
@@ -167,10 +191,6 @@ func TestWithDeltaInvalidationKeying(t *testing.T) {
 	}
 	if stats.MixturesKept != 1 || stats.MixturesDropped != 1 {
 		t.Errorf("mixtures kept/dropped = %d/%d, want 1/1", stats.MixturesKept, stats.MixturesDropped)
-	}
-	if stats.WalkEntriesKept == 0 || stats.WalkEntriesDropped == 0 {
-		t.Errorf("walk entries kept/dropped = %d/%d, want both > 0",
-			stats.WalkEntriesKept, stats.WalkEntriesDropped)
 	}
 	// w2's whole community is inside the radius-(maxLen-1) ball; w1's
 	// community is disconnected from it, so nothing there is affected.
@@ -315,10 +335,7 @@ func TestAffectedSourcesSoundness(t *testing.T) {
 	d.MustPatch(s.Publish, v2, p2)
 	d.MustPatch(s.Write, authors[1], papers[len(papers)-1])
 
-	g2, ms, err := hin.MergeDeltas(g, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g2, ms := d.Merge()
 	affected := affectedSources(g2, paths, ms.Touched)
 
 	w1 := metapath.NewWalker(g, 0)
